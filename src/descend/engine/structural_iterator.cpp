@@ -233,6 +233,58 @@ std::optional<std::string_view> StructuralIterator::label_before(std::size_t pos
     return std::nullopt;
 }
 
+void StructuralIterator::skip_ring_run(classify::BracketKind kind,
+                                       int& relative_depth, int& true_depth,
+                                       std::size_t max_relative) noexcept
+{
+    // The blocks after the current one that the ring already holds, one
+    // tight loop over their cached masks: the per-block path's classify
+    // step has nothing left to do for them (a ring hit never refills, so
+    // the interrupt latch cannot change), and each block's four bracket
+    // counts serve the §4.4 test, the true-depth guard and the validator
+    // at once. Whatever the per-block path must decide exactly stays
+    // there: the block that may close the element, a depth-guard hit, the
+    // final partial block of a slice, and the ring miss (refill + budget
+    // poll). On return block_start_ is the last block consumed here, with
+    // in_string_ its mask — the state advance_block() continues from.
+    const bool object = kind == classify::BracketKind::kObject;
+    for (;;) {
+        std::size_t next = block_start_ + simd::kBlockSize;
+        if (next + simd::kBlockSize > size_) {
+            return;
+        }
+        const simd::BlockMasks* masks = blocks_.cached(next);
+        if (masks == nullptr) {
+            return;
+        }
+        std::uint64_t not_string = ~masks->in_string;
+        int object_open = bits::popcount(masks->open_braces & not_string);
+        int object_close = bits::popcount(masks->close_braces & not_string);
+        int array_open = bits::popcount(masks->open_brackets & not_string);
+        int array_close = bits::popcount(masks->close_brackets & not_string);
+        int kind_open = object ? object_open : array_open;
+        int kind_close = object ? object_close : array_close;
+        if (kind_close >= relative_depth ||
+            static_cast<std::size_t>(true_depth) +
+                    static_cast<std::size_t>(object_open + array_open) >
+                max_relative) {
+            return;
+        }
+        relative_depth += kind_open - kind_close;
+        true_depth += object_open + array_open - object_close - array_close;
+        if (validator_ != nullptr) {
+            validator_->account_balance(next, object_open - object_close,
+                                        array_open - array_close,
+                                        (masks->in_string >> 63) != 0);
+        }
+        if (accountant_ != nullptr) {
+            accountant_->account(next);
+        }
+        block_start_ = next;
+        in_string_ = masks->in_string;
+    }
+}
+
 void StructuralIterator::skip_until_depth_zero(classify::BracketKind kind,
                                                bool consume_closer,
                                                std::size_t base_depth)
@@ -314,6 +366,7 @@ void StructuralIterator::skip_until_depth_zero(classify::BracketKind kind,
             fail(StatusCode::kDepthLimit, block_start_ + simd::kBlockSize);
             return;
         }
+        skip_ring_run(kind, relative_depth, true_depth, max_relative);
         if (!advance_block(/*with_structural=*/false)) {
             // Malformed input: the element never closed. advance_block
             // already flagged a truncated string if one swallowed the

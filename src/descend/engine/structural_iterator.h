@@ -222,6 +222,11 @@ private:
     /** Advances to the next block; returns false at end of input. */
     bool advance_block(bool with_structural);
 
+    /** Consumes the ring-cached blocks after the current one that cannot
+     *  close the skipped element (skip_until_depth_zero's batch step). */
+    void skip_ring_run(classify::BracketKind kind, int& relative_depth,
+                       int& true_depth, std::size_t max_relative) noexcept;
+
     /** Shared fast-forward core for both skip flavours. */
     void skip_until_depth_zero(classify::BracketKind kind, bool consume_closer,
                                std::size_t base_depth);

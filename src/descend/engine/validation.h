@@ -22,8 +22,9 @@
  *    (delete / insert / kind-flip) leaves at least one balance nonzero,
  *    even when a kind-filtered fast-forward would happily jump across the
  *    damage. The end-of-input string state catches unterminated strings,
- *    including a lone '\\' swallowing the padding. Cost: four eq_mask +
- *    four popcount per block, only in paths that already classify blocks.
+ *    including a lone '\\' swallowing the padding. Cost: four popcounts
+ *    per block over the batch masks, only in paths that already classify
+ *    blocks (the skip loops share theirs).
  */
 #pragma once
 
@@ -62,21 +63,40 @@ public:
         if (block_start != counted_until_) {
             return;
         }
-        counted_until_ += simd::kBlockSize;
         std::uint64_t not_string = ~in_string & valid;
-        obj_balance_ +=
-            static_cast<std::int64_t>(bits::popcount(masks.open_braces & not_string));
-        obj_balance_ -=
-            static_cast<std::int64_t>(bits::popcount(masks.close_braces & not_string));
-        arr_balance_ +=
-            static_cast<std::int64_t>(bits::popcount(masks.open_brackets & not_string));
-        arr_balance_ -=
-            static_cast<std::int64_t>(bits::popcount(masks.close_brackets & not_string));
-        // The string state at the end bound: the highest valid position's
-        // in-string bit (valid is a contiguous low mask, so its popcount
-        // is the index one past the top bit).
-        int top = bits::popcount(valid) - 1;
-        ends_in_string_ = top >= 0 && ((in_string >> top) & 1) != 0;
+        // The string state at the end bound is the in-string bit of the
+        // highest valid position: bit 63 for a full block, and for the
+        // final partial block of a slice the top of the contiguous low
+        // mask, which is the one valid bit whose upper neighbour is not.
+        std::uint64_t top = valid & ~(valid >> 1);
+        account_balance(
+            block_start,
+            bits::popcount(masks.open_braces & not_string) -
+                bits::popcount(masks.close_braces & not_string),
+            bits::popcount(masks.open_brackets & not_string) -
+                bits::popcount(masks.close_brackets & not_string),
+            (in_string & top) != 0);
+    }
+
+    /**
+     * Accounts one block from its bracket balances, for callers that have
+     * already counted the block's out-of-string braces and brackets (the
+     * skip loops do, for their own depth tracking). Same exactly-once
+     * contract as account().
+     *
+     * @param ends_in_string the in-string bit of the block's last position
+     *        within the input's end bound.
+     */
+    void account_balance(std::size_t block_start, int object_delta, int array_delta,
+                         bool ends_in_string) noexcept
+    {
+        if (block_start != counted_until_) {
+            return;
+        }
+        counted_until_ += simd::kBlockSize;
+        obj_balance_ += object_delta;
+        arr_balance_ += array_delta;
+        ends_in_string_ = ends_in_string;
     }
 
     /** Number of bytes covered by accounted blocks so far. */

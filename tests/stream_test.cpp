@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "descend/descend.h"
 #include "descend/workloads/datasets.h"
 
@@ -441,9 +443,13 @@ TEST(StreamDifferential, WorkloadDatasetsAsNdjson)
 
 PaddedString roundtrip_through_file(const std::string& content)
 {
+    // The pid keeps concurrent runs of this suite (ctest runs it once per
+    // SIMD tier, in parallel) off each other's files: truncating a file
+    // another process has mapped faults that process with SIGBUS.
     std::filesystem::path path =
         std::filesystem::temp_directory_path() /
-        ("descend_stream_test_" + std::to_string(content.size()) + ".json");
+        ("descend_stream_test_" + std::to_string(::getpid()) + "_" +
+         std::to_string(content.size()) + ".json");
     {
         std::ofstream out(path, std::ios::binary);
         out.write(content.data(),
