@@ -77,9 +77,10 @@ public:
 
 private:
     /**
-     * The simulation itself lives in main_engine.cpp as a template over
-     * the sink type: the generic entry points instantiate it with the
-     * abstract MatchSink, the counting path with a concrete counter.
+     * Runs the shared Simulation (engine/simulation.h) with a reporter
+     * templated over the sink type: the generic entry points instantiate
+     * it with the abstract MatchSink, the counting path with a concrete
+     * counter.
      * @p budget governs the run (the plain entry points pass
      * options().budget; the stream executor passes per-record budgets).
      */

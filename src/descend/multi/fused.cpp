@@ -8,6 +8,27 @@
 
 namespace descend::multi {
 
+EngineStatus FusedEngine::run(PaddedView document, MultiSink& sink) const
+{
+    return dispatch(document, sink, options().budget).status;
+}
+
+RunStats FusedEngine::run_with_stats(PaddedView document, MultiSink& sink) const
+{
+    return run_with_stats(document, sink, options().budget);
+}
+
+RunStats FusedEngine::run_with_stats(PaddedView document, MultiSink& sink,
+                                     const RunBudget& budget) const
+{
+    // A stopwatch, as in DescendEngine::run_with_stats: the timing must
+    // land in the returned object.
+    obs::PhaseStopwatch watch;
+    RunStats stats = dispatch(document, sink, budget);
+    stats.timings.add(obs::Phase::kAutomaton, watch.elapsed_ns());
+    return stats;
+}
+
 std::optional<FusedBackend> parse_fused_backend(std::string_view text)
 {
     if (text == "auto") {

@@ -123,21 +123,26 @@ public:
 
     /** Zero-copy slice run (record of an NDJSON stream); offsets are
      *  relative to the slice start, as DescendEngine::run. */
-    virtual EngineStatus run(PaddedView document, MultiSink& sink) const = 0;
+    EngineStatus run(PaddedView document, MultiSink& sink) const;
 
     /** Like run(), additionally reporting what the fused pass did. */
-    virtual RunStats run_with_stats(PaddedView document, MultiSink& sink) const = 0;
+    RunStats run_with_stats(PaddedView document, MultiSink& sink) const;
 
     /**
      * Budget-override run: governs this one run by @p budget instead of
      * options().budget — how the multi-stream executor gives each record
      * its own slice of a stream-level budget without rebuilding engines.
      */
-    virtual RunStats run_with_stats(PaddedView document, MultiSink& sink,
-                                    const RunBudget& budget) const = 0;
+    RunStats run_with_stats(PaddedView document, MultiSink& sink,
+                            const RunBudget& budget) const;
 
     virtual const MultiQuery& query_set() const noexcept = 0;
     virtual const EngineOptions& options() const noexcept = 0;
+
+protected:
+    /** The backend's run over @p document, governed by @p budget. */
+    virtual RunStats dispatch(PaddedView document, MultiSink& sink,
+                              const RunBudget& budget) const = 0;
 };
 
 /** Which fused execution backend to build. */

@@ -2,24 +2,13 @@
 
 #include <memory>
 
-#include "descend/engine/label_search.h"
-#include "descend/engine/structural_iterator.h"
-#include "descend/engine/validation.h"
+#include "descend/engine/simulation.h"
 #include "descend/project/filter_eval.h"
 #include "descend/util/bit_stack.h"
 #include "descend/util/inline_vector.h"
-#include "descend/util/utf8.h"
 
 namespace descend::multi {
 namespace {
-
-/** A sparse depth-stack frame, as in the single-query engine. */
-struct Frame {
-    int state;
-    int depth;
-};
-
-using DepthStack = InlineVector<Frame, 128>;
 
 /**
  * One query's independent simulation riding the shared event stream: its
@@ -38,7 +27,7 @@ struct Lane {
 };
 
 /**
- * The fused main algorithm: the single-query Simulation of main_engine.cpp
+ * The fused main algorithm: the shared Simulation of engine/simulation.h
  * with the per-state work vectorized over lanes and every skip decision
  * replaced by the lane consensus described in multi_engine.h.
  */
@@ -250,23 +239,6 @@ public:
             }
         };
 
-        // Resolves the label before @p pos against the SHARED alphabet —
-        // the one per-event string scan; lanes remap the result in O(1).
-        auto shared_label_symbol_before =
-            [&](std::size_t pos) -> std::optional<int> {
-            auto label = iter.label_before(pos);
-            if (!label.has_value()) {
-                return std::nullopt;
-            }
-            if (!util::is_valid_utf8(*label)) {
-                fail(StatusCode::kInvalidUtf8InLabel,
-                     static_cast<std::size_t>(
-                         reinterpret_cast<const std::uint8_t*>(label->data()) -
-                         iter.data()));
-            }
-            return shared.label_symbol(*label);
-        };
-
         while (status_.ok()) {
             StructuralIterator::Event event = iter.next();
             if (event.kind == Kind::kNone) {
@@ -289,8 +261,10 @@ public:
                         return;
                     }
                     if (!root_opening) {
-                        std::optional<int> shared_symbol =
-                            shared_label_symbol_before(event.pos);
+                        // One label scan against the SHARED alphabet;
+                        // lanes remap the result in O(1).
+                        std::optional<int> shared_symbol = label_symbol_before(
+                            iter, shared, event.pos, status_);
                         if (!status_.ok()) {
                             return;
                         }
@@ -432,7 +406,7 @@ public:
                         break;
                     }
                     std::optional<int> shared_symbol =
-                        shared_label_symbol_before(event.pos);
+                        label_symbol_before(iter, shared, event.pos, status_);
                     if (!status_.ok()) {
                         return;
                     }
@@ -529,14 +503,17 @@ public:
         const std::string& label = *queries_.common_head_skip_label();
         const std::size_t n = lanes_.size();
         // Per lane: does an atomic value under the head label accept?
-        for (std::size_t i = 0; i < n; ++i) {
-            const automaton::CompiledQuery& cq = *lanes_[i].cq;
-            int symbol = cq.alphabet().label_symbol(label);
-            targets_[i] =
-                cq.flags(cq.transition(cq.initial_state(), symbol)).accepting
-                    ? 1
-                    : 0;
-        }
+        auto mark_leaf_accepting = [&] {
+            for (std::size_t i = 0; i < n; ++i) {
+                const automaton::CompiledQuery& cq = *lanes_[i].cq;
+                int symbol = cq.alphabet().label_symbol(label);
+                targets_[i] =
+                    cq.flags(cq.transition(cq.initial_state(), symbol)).accepting
+                        ? 1
+                        : 0;
+            }
+        };
+        mark_leaf_accepting();
 
         LabelSearch search(document, kernels, label, validator, accountant,
                            budget_);
@@ -559,15 +536,7 @@ public:
                 }
                 // run_main_loop clobbers targets_; restore the per-lane
                 // atom-acceptance bits for the next occurrence.
-                for (std::size_t i = 0; i < n; ++i) {
-                    const automaton::CompiledQuery& cq = *lanes_[i].cq;
-                    int symbol = cq.alphabet().label_symbol(label);
-                    targets_[i] = cq.flags(cq.transition(cq.initial_state(),
-                                                         symbol))
-                                          .accepting
-                                      ? 1
-                                      : 0;
-                }
+                mark_leaf_accepting();
                 search.resume(iter.resume_point());
             } else {
                 for (std::size_t i = 0; i < n; ++i) {
@@ -635,16 +604,6 @@ private:
     EngineStatus status_;
 };
 
-/** Tallies a governance outcome into the run's counters. */
-void count_governance(RunStats& stats)
-{
-    if (stats.status.code == StatusCode::kDeadlineExceeded) {
-        stats.counters.add(obs::Counter::kDeadlineHits);
-    } else if (stats.status.code == StatusCode::kCancelled) {
-        stats.counters.add(obs::Counter::kCancelHits);
-    }
-}
-
 }  // namespace
 
 MultiDescendEngine::MultiDescendEngine(MultiQuery queries, EngineOptions options)
@@ -662,88 +621,18 @@ std::string MultiDescendEngine::name() const
 RunStats MultiDescendEngine::dispatch(PaddedView document, MultiSink& sink,
                                       const RunBudget& budget) const
 {
-    RunStats stats;
-    obs::BlockAccountant accountant(&stats.counters);
-    // Inactive budgets (the default) cost one null test per batch refill.
-    const RunBudget* budget_ptr = budget.active() ? &budget : nullptr;
-    stats.status = preflight_document(document, options_.limits);
-    if (stats.status.ok() && budget_ptr != nullptr) {
-        // An already-violated budget fails before any work, at offset 0 —
-        // the deterministic anchor the stream executor's floor relies on.
-        StatusCode over = budget.exceeded();
-        if (over != StatusCode::kOk) {
-            stats.status = {over, 0};
-        }
-    }
-    if (!stats.status.ok()) {
-        count_governance(stats);
-        accountant.finish(document.size());
-        return stats;
-    }
-    if (queries_.all_root_accepting()) {
-        // Every query is `$`: mirror the standalone O(1) unvalidated path
-        // (see DESIGN.md, "Error handling & limits").
-        StructuralIterator iter(document, *kernels_, nullptr,
-                                EngineLimits::kUnlimited, &accountant);
-        std::size_t start = iter.first_non_ws(0);
-        if (start < document.size()) {
+    return run_document(
+        document, *kernels_, options_, budget, queries_.all_root_accepting(),
+        [&](std::size_t start) {
             for (std::size_t i = 0; i < queries_.size(); ++i) {
                 sink.on_match(i, start);
             }
-        }
-        accountant.finish(document.size());
-        return stats;
-    }
-    StructuralValidator validator;
-    StructuralValidator* vptr = options_.validate_structure ? &validator : nullptr;
-    FusedSimulation simulation(queries_, options_, sink, stats, document,
-                               *kernels_, budget_ptr);
-    if (queries_.common_head_skip_label().has_value() && options_.head_skipping) {
-        simulation.run_head_skip(document, *kernels_, vptr, &accountant);
-        stats.status = simulation.status();
-        if (stats.status.ok() && vptr != nullptr) {
-            stats.status = validator.verdict(document.size());
-        }
-        count_governance(stats);
-        accountant.finish(document.size());
-        return stats;
-    }
-    StructuralIterator iter(document, *kernels_, vptr, options_.limits.max_depth,
-                            &accountant, budget_ptr);
-    simulation.run_main_loop(iter, /*at_document_root=*/true);
-    stats.status = simulation.status();
-    if (stats.status.ok()) {
-        std::size_t after = iter.first_non_ws(iter.position());
-        if (after < document.size()) {
-            stats.status = {StatusCode::kTrailingContent, after};
-        }
-    }
-    if (stats.status.ok() && vptr != nullptr) {
-        stats.status = validator.verdict(document.size());
-    }
-    count_governance(stats);
-    accountant.finish(document.size());
-    return stats;
-}
-
-EngineStatus MultiDescendEngine::run(PaddedView document, MultiSink& sink) const
-{
-    return dispatch(document, sink, options_.budget).status;
-}
-
-RunStats MultiDescendEngine::run_with_stats(PaddedView document,
-                                            MultiSink& sink) const
-{
-    return run_with_stats(document, sink, options_.budget);
-}
-
-RunStats MultiDescendEngine::run_with_stats(PaddedView document, MultiSink& sink,
-                                            const RunBudget& budget) const
-{
-    obs::PhaseStopwatch watch;
-    RunStats stats = dispatch(document, sink, budget);
-    stats.timings.add(obs::Phase::kAutomaton, watch.elapsed_ns());
-    return stats;
+        },
+        queries_.common_head_skip_label().has_value() && options_.head_skipping,
+        [&](RunStats& stats, const RunBudget* budget_ptr) {
+            return FusedSimulation(queries_, options_, sink, stats, document,
+                                   *kernels_, budget_ptr);
+        });
 }
 
 }  // namespace descend::multi

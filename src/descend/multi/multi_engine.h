@@ -43,21 +43,14 @@ public:
         return MultiDescendEngine(MultiQuery::compile(query_texts), options);
     }
 
-    using FusedEngine::run;
-
     std::string name() const override;
-
-    EngineStatus run(PaddedView document, MultiSink& sink) const override;
-    RunStats run_with_stats(PaddedView document, MultiSink& sink) const override;
-    RunStats run_with_stats(PaddedView document, MultiSink& sink,
-                            const RunBudget& budget) const override;
 
     const MultiQuery& query_set() const noexcept override { return queries_; }
     const EngineOptions& options() const noexcept override { return options_; }
 
 private:
     RunStats dispatch(PaddedView document, MultiSink& sink,
-                      const RunBudget& budget) const;
+                      const RunBudget& budget) const override;
 
     MultiQuery queries_;
     EngineOptions options_;

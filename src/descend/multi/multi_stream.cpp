@@ -1,38 +1,116 @@
 #include "descend/multi/multi_stream.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <memory>
-#include <thread>
-#include <utility>
+#include <vector>
 
-#include "descend/fault/failpoints.h"
+#include "descend/stream/record_scheduler.h"
 
 namespace descend::multi {
 namespace {
 
-constexpr std::size_t kNoError = stream::StreamResult::kNone;
-
-/** One record's buffered fused-run outcome, produced by a worker. */
-struct RecordOutcome {
-    std::size_t record = 0;
-    EngineStatus status;
-    /** Per-query intra-record match offsets; populated only when
-     *  status.ok(), so a failed record never leaks partial matches. */
-    std::vector<std::vector<std::size_t>> offsets;
+/** One query's intra-record match offsets. */
+struct QueryMatches {
+    std::size_t query = 0;
+    std::vector<std::size_t> offsets;
 };
 
-/** Atomic fetch-min (see stream_executor.cpp for why this makes
- *  fail-fast deterministic). */
-void lower_floor(std::atomic<std::size_t>& floor, std::size_t candidate)
-{
-    std::size_t current = floor.load(std::memory_order_relaxed);
-    while (candidate < current &&
-           !floor.compare_exchange_weak(current, candidate,
-                                        std::memory_order_relaxed)) {
+/** A record's matches: only the queries that matched, ascending. */
+using RecordMatches = std::vector<QueryMatches>;
+
+/**
+ * A MultiSink a worker reuses across records (the set counterpart of
+ * ReusableOffsetSink): reset() clears only the queries the last run
+ * touched and copy_to() copies out only those, so a record that matches
+ * nothing costs no allocation however large the set is. Copies rather
+ * than moves: the buffered outcome is exact-size and the sink keeps its
+ * capacity.
+ */
+class ReusableMultiSink final : public MultiSink {
+public:
+    explicit ReusableMultiSink(std::size_t num_queries) : offsets_(num_queries) {}
+
+    void on_match(std::size_t query_index, std::size_t offset) override
+    {
+        std::vector<std::size_t>& offsets = offsets_[query_index];
+        if (offsets.empty()) {
+            touched_.push_back(query_index);
+        }
+        offsets.push_back(offset);
     }
-}
+
+    void reset() noexcept
+    {
+        for (std::size_t q : touched_) {
+            offsets_[q].clear();
+        }
+        touched_.clear();
+    }
+
+    /** Copies the collected matches into @p out in query order. */
+    void copy_to(RecordMatches& out)
+    {
+        std::sort(touched_.begin(), touched_.end());
+        out.reserve(touched_.size());
+        for (std::size_t q : touched_) {
+            out.push_back({q, offsets_[q]});
+        }
+    }
+
+private:
+    std::vector<std::vector<std::size_t>> offsets_;
+    /** Queries with at least one match since the last reset. */
+    std::vector<std::size_t> touched_;
+};
+
+/** One worker's record runner over the executor's fused engine. */
+class RecordRunner {
+public:
+    explicit RecordRunner(const MultiStreamExecutor& executor)
+        : executor_(&executor),
+          collector_(executor.engine().query_set().size())
+    {
+    }
+
+    RunStats operator()(PaddedView record, const RunBudget* budget, bool scalar,
+                        RecordMatches& matches)
+    {
+        const FusedEngine& engine = scalar ? scalar_engine() : executor_->engine();
+        collector_.reset();
+        RunStats stats = budget != nullptr
+                             ? engine.run_with_stats(record, collector_, *budget)
+                             : engine.run_with_stats(record, collector_);
+        if (stats.status.ok()) {
+            collector_.copy_to(matches);
+        }
+        return stats;
+    }
+
+private:
+    /** Scalar-tier fused engine for kRetryScalar, built on first use (same
+     *  backend selection as the primary engine). */
+    const FusedEngine& scalar_engine()
+    {
+        if (scalar_engine_ == nullptr) {
+            const MultiQuery& set = executor_->engine().query_set();
+            EngineOptions scalar_options = executor_->options().engine;
+            scalar_options.simd = simd::Level::scalar;
+            std::vector<query::Query> sources;
+            sources.reserve(set.size());
+            for (std::size_t q = 0; q < set.size(); ++q) {
+                sources.push_back(set.source(q));
+            }
+            scalar_engine_ = make_fused_engine(MultiQuery::compile(sources),
+                                               scalar_options,
+                                               executor_->backend());
+        }
+        return *scalar_engine_;
+    }
+
+    const MultiStreamExecutor* executor_;
+    ReusableMultiSink collector_;
+    std::unique_ptr<FusedEngine> scalar_engine_;
+};
 
 }  // namespace
 
@@ -52,251 +130,25 @@ stream::StreamResult MultiStreamExecutor::run_records(
     PaddedView input, const std::vector<stream::RecordSpan>& records,
     MultiStreamSink& sink) const
 {
-    stream::StreamResult result;
-    result.records = records.size();
-    if (records.empty()) {
-        return result;
-    }
-    const std::size_t num_queries = engine_->query_set().size();
-
-    const std::size_t batch_size =
-        options_.records_per_batch > 0 ? options_.records_per_batch : 1;
-    const std::size_t num_batches =
-        (records.size() + batch_size - 1) / batch_size;
-    std::size_t workers = options_.threads != 0
-                              ? options_.threads
-                              : std::thread::hardware_concurrency();
-    workers = std::min(std::max<std::size_t>(workers, 1), num_batches);
-
-    const bool fail_fast = options_.policy == stream::ErrorPolicy::kFailFast;
-    const bool retry_scalar =
-        options_.policy == stream::ErrorPolicy::kRetryScalar;
-    const RunBudget& stream_budget = options_.stream_budget;
-    const bool stream_governed = stream_budget.active();
-    const bool record_governed = options_.record_budget_ms > 0;
-    std::vector<std::vector<RecordOutcome>> outcomes(num_batches);
-    std::atomic<std::size_t> next_batch{0};
-    std::atomic<std::size_t> error_floor{kNoError};
-    // First record that did not finish because the stream budget tripped
-    // (see stream_executor.cpp for the determinism argument).
-    std::atomic<std::size_t> budget_floor{kNoError};
-
-    struct ShardObs {
-        obs::Counters counters;
-        obs::Timings timings;
-        std::size_t record_blocks = 0;
-        std::size_t retried = 0;
-        std::size_t diverged = 0;
-    };
-    std::vector<ShardObs> shard_obs(workers);
-
-    auto worker = [&](std::size_t shard) {
-        if constexpr (fault::kEnabled) {
-            fault::maybe_stall(fault::Site::kWorkerStartup);
-        }
-        ShardObs& local = shard_obs[shard];
-        // Scalar-tier fused engine for kRetryScalar, built on first use
-        // (same backend selection as the primary engine).
-        std::unique_ptr<FusedEngine> scalar_engine;
-        for (;;) {
-            std::size_t batch = next_batch.fetch_add(1, std::memory_order_relaxed);
-            if (batch >= num_batches) {
-                break;
-            }
-            std::size_t first = batch * batch_size;
-            std::size_t last = std::min(first + batch_size, records.size());
-            if (stream_governed &&
-                stream_budget.exceeded() != StatusCode::kOk) {
-                lower_floor(budget_floor, first);
-                break;
-            }
-            if (fail_fast && first > error_floor.load(std::memory_order_relaxed)) {
-                continue;
-            }
-            std::vector<RecordOutcome>& out = outcomes[batch];
-            out.reserve(last - first);
-            bool budget_tripped = false;
-            for (std::size_t r = first; r < last; ++r) {
-                if (fail_fast && r > error_floor.load(std::memory_order_relaxed)) {
-                    break;
-                }
-                if (stream_governed &&
-                    stream_budget.exceeded() != StatusCode::kOk) {
-                    lower_floor(budget_floor, r);
-                    budget_tripped = true;
-                    break;
-                }
-                const stream::RecordSpan& span = records[r];
-                CollectingMultiSink collector(num_queries);
-                RecordOutcome outcome;
-                outcome.record = r;
-                RunBudget record_budget = stream_budget;
-                if (record_governed) {
-                    record_budget = stream_budget.tightened(
-                        RunBudget::Clock::now() +
-                        std::chrono::milliseconds(options_.record_budget_ms));
-                }
-                RunStats run_stats =
-                    stream_governed || record_governed
-                        ? engine_->run_with_stats(
-                              input.subview(span.begin, span.size()),
-                              collector, record_budget)
-                        : engine_->run_with_stats(
-                              input.subview(span.begin, span.size()),
-                              collector);
-                outcome.status = run_stats.status;
-                if constexpr (obs::kEnabled) {
-                    local.counters.merge(run_stats.counters);
-                    local.timings.merge(run_stats.timings);
-                    local.record_blocks +=
-                        (span.size() + simd::kBlockSize - 1) / simd::kBlockSize;
-                }
-                if (!outcome.status.ok() && outcome.status.is_governance() &&
-                    stream_governed &&
-                    stream_budget.exceeded() != StatusCode::kOk) {
-                    // The stream budget cut this record short: unfinished,
-                    // not failed.
-                    lower_floor(budget_floor, r);
-                    budget_tripped = true;
-                    break;
-                }
-                if (!outcome.status.ok() && retry_scalar &&
-                    !outcome.status.is_governance()) {
-                    if (scalar_engine == nullptr) {
-                        EngineOptions scalar_options = options_.engine;
-                        scalar_options.simd = simd::Level::scalar;
-                        std::vector<query::Query> sources;
-                        sources.reserve(engine_->query_set().size());
-                        for (std::size_t q = 0; q < engine_->query_set().size();
-                             ++q) {
-                            sources.push_back(engine_->query_set().source(q));
-                        }
-                        scalar_engine = make_fused_engine(
-                            MultiQuery::compile(sources), scalar_options,
-                            backend_);
-                    }
-                    CollectingMultiSink scalar_collector(num_queries);
-                    RunStats scalar_stats =
-                        stream_governed || record_governed
-                            ? scalar_engine->run_with_stats(
-                                  input.subview(span.begin, span.size()),
-                                  scalar_collector, record_budget)
-                            : scalar_engine->run_with_stats(
-                                  input.subview(span.begin, span.size()),
-                                  scalar_collector);
-                    ++local.retried;
-                    local.counters.add(obs::Counter::kScalarRetries);
-                    if (scalar_stats.status.code != outcome.status.code ||
-                        scalar_stats.status.offset != outcome.status.offset) {
-                        ++local.diverged;
-                        local.counters.add(obs::Counter::kTierDivergences);
-                    }
-                    outcome.status = scalar_stats.status;
-                    if (outcome.status.ok()) {
-                        outcome.offsets = scalar_collector.all();
-                    }
-                } else if (outcome.status.ok()) {
-                    outcome.offsets = collector.all();
-                }
-                if (!outcome.status.ok() && fail_fast) {
-                    lower_floor(error_floor, r);
-                }
-                bool failed = !outcome.status.ok();
-                out.push_back(std::move(outcome));
-                if (fail_fast && failed) {
-                    break;
-                }
-            }
-            if (budget_tripped) {
-                break;
-            }
-        }
-    };
-
-    if (workers <= 1) {
-        worker(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t i = 0; i < workers; ++i) {
-            pool.emplace_back(worker, i);
-        }
-        for (std::thread& thread : pool) {
-            thread.join();
-        }
-    }
-    for (const ShardObs& shard : shard_obs) {
-        result.counters.merge(shard.counters);
-        result.timings.merge(shard.timings);
-        result.record_blocks += shard.record_blocks;
-        result.retried_records += shard.retried;
-        result.tier_divergences += shard.diverged;
-    }
-
-    // Ordered replay: records ascend across and within batches; per record
-    // the queries replay in set order. Under fail-fast everything past the
-    // floor is discarded, the floor record being the one reported error.
-    const std::size_t floor = error_floor.load(std::memory_order_relaxed);
-    const std::size_t bfloor = budget_floor.load(std::memory_order_relaxed);
-    bool stopped = false;
-    bool error_stopped = false;
-    for (std::size_t batch = 0; batch < num_batches && !stopped; ++batch) {
-        for (const RecordOutcome& outcome : outcomes[batch]) {
-            if (outcome.record >= bfloor) {
-                // Finished after the budget floor: discarded, like a
-                // fail-fast record past the error floor.
-                stopped = true;
-                break;
-            }
-            if (fail_fast && outcome.record > floor) {
-                stopped = true;
-                error_stopped = true;
-                break;
-            }
-            if (outcome.status.ok()) {
-                for (std::size_t q = 0; q < outcome.offsets.size(); ++q) {
-                    for (std::size_t offset : outcome.offsets[q]) {
-                        sink.on_match(q, outcome.record, offset);
-                        ++result.matches;
-                    }
-                }
-            } else {
+    // Per record the queries replay in set order, offsets ascending
+    // within a query.
+    using Outcome = stream::RecordOutcome<RecordMatches>;
+    return stream::schedule_records<RecordMatches>(
+        input, records, options_, [this] { return RecordRunner(*this); },
+        [&sink](const Outcome& outcome) -> std::size_t {
+            if (!outcome.status.ok()) {
                 sink.on_record_error(outcome.record, outcome.status);
-                ++result.failed_records;
-                ++result.error_tally[static_cast<std::size_t>(outcome.status.code)];
-                if (result.first_error_record == stream::StreamResult::kNone) {
-                    result.first_error_record = outcome.record;
-                    result.first_error = outcome.status;
-                    result.first_error_span_begin =
-                        records[outcome.record].begin;
-                }
-                if (fail_fast) {
-                    stopped = true;
-                    error_stopped = true;
-                    break;
-                }
+                return 0;
             }
-        }
-    }
-    if (bfloor != kNoError && !error_stopped) {
-        // Stream-budget stop: synthesize the floor record's governance
-        // error (see stream_executor.cpp).
-        StatusCode code = stream_budget.exceeded();
-        if (code == StatusCode::kOk) {
-            code = StatusCode::kDeadlineExceeded;
-        }
-        EngineStatus synthesized{code, 0};
-        result.budget_stopped = true;
-        sink.on_record_error(bfloor, synthesized);
-        ++result.failed_records;
-        ++result.error_tally[static_cast<std::size_t>(code)];
-        if (result.first_error_record == stream::StreamResult::kNone) {
-            result.first_error_record = bfloor;
-            result.first_error = synthesized;
-            result.first_error_span_begin = records[bfloor].begin;
-        }
-    }
-    return result;
+            std::size_t delivered = 0;
+            for (const QueryMatches& query : outcome.matches) {
+                for (std::size_t offset : query.offsets) {
+                    sink.on_match(query.query, outcome.record, offset);
+                }
+                delivered += query.offsets.size();
+            }
+            return delivered;
+        });
 }
 
 }  // namespace descend::multi

@@ -4,7 +4,8 @@
  * N queries × M records off ONE splitter pass and one classification pass
  * per record.
  *
- * Mirrors stream/stream_executor.h: workers claim contiguous batches of
+ * Runs on the single-query executor's record scheduler
+ * (stream/record_scheduler.h): workers claim contiguous batches of
  * records from an atomic cursor and run the fused engine zero-copy over
  * each record's subview; per-(query, record) match sets are buffered per
  * batch and replayed in document order — records ascending, queries

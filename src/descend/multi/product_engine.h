@@ -35,14 +35,7 @@ public:
     explicit ProductDescendEngine(MultiQuery queries, EngineOptions options = {},
                                   int max_states = 1 << 15);
 
-    using FusedEngine::run;
-
     std::string name() const override;
-
-    EngineStatus run(PaddedView document, MultiSink& sink) const override;
-    RunStats run_with_stats(PaddedView document, MultiSink& sink) const override;
-    RunStats run_with_stats(PaddedView document, MultiSink& sink,
-                            const RunBudget& budget) const override;
 
     const MultiQuery& query_set() const noexcept override { return queries_; }
     const EngineOptions& options() const noexcept override { return options_; }
@@ -51,7 +44,7 @@ public:
 
 private:
     RunStats dispatch(PaddedView document, MultiSink& sink,
-                      const RunBudget& budget) const;
+                      const RunBudget& budget) const override;
 
     MultiQuery queries_;
     ProductAutomaton product_;

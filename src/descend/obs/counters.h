@@ -18,7 +18,7 @@
  * classifier kernels are bit-for-bit unaffected. With the gate on (the
  * default), counters are plain unsynchronized uint64 adds: one registry
  * belongs to one run (one thread); cross-shard aggregation merges whole
- * registries after the workers join (see stream/stream_executor.cpp).
+ * registries after the workers join (see stream/record_scheduler.h).
  *
  * See DESIGN.md §4.6 for the counter taxonomy and the JSON report schema.
  */

@@ -1,43 +1,60 @@
 #include "descend/stream/stream_executor.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <memory>
-#include <thread>
-#include <utility>
+#include <vector>
 
 #include "descend/engine/scratch.h"
-#include "descend/fault/failpoints.h"
+#include "descend/stream/record_scheduler.h"
 
 namespace descend::stream {
 namespace {
 
-constexpr std::size_t kNoError = StreamResult::kNone;
-
-/** One record's buffered run outcome, produced by a worker. */
-struct RecordOutcome {
-    std::size_t record = 0;
-    EngineStatus status;
-    /** Intra-record match offsets; populated only when status.ok(), so a
-     *  failed record's partial matches can never leak into the sink. */
-    std::vector<std::size_t> offsets;
-};
-
 /**
- * Atomic fetch-min. The floor only ever decreases, which is what makes
- * fail-fast deterministic: a worker skips record r only while r > floor,
- * so every record below the *final* floor is guaranteed to have been
- * processed by someone.
+ * One worker's record runner. Its scratch collectors keep their buffer
+ * capacity across every record the worker runs, so the steady state
+ * allocates only for records that actually match (the copy into the
+ * outcome).
  */
-void lower_floor(std::atomic<std::size_t>& floor, std::size_t candidate)
-{
-    std::size_t current = floor.load(std::memory_order_relaxed);
-    while (candidate < current &&
-           !floor.compare_exchange_weak(current, candidate,
-                                        std::memory_order_relaxed)) {
+class RecordRunner {
+public:
+    explicit RecordRunner(const StreamExecutor& executor) : executor_(&executor) {}
+
+    RunStats operator()(PaddedView record, const RunBudget* budget, bool scalar,
+                        std::vector<std::size_t>& matches)
+    {
+        const DescendEngine& engine = scalar ? scalar_engine() : executor_->engine();
+        ReusableOffsetSink& sink =
+            scalar ? scratch_.retry_matches : scratch_.matches;
+        sink.reset();
+        RunStats stats = budget != nullptr
+                             ? engine.run_with_stats(record, sink, *budget)
+                             : engine.run_with_stats(record, sink);
+        if (stats.status.ok()) {
+            matches.assign(sink.offsets().begin(), sink.offsets().end());
+        }
+        return stats;
     }
-}
+
+private:
+    /** Scalar-tier engine for kRetryScalar, built on first use (the
+     *  failure path): same query and options, scalar kernels. */
+    const DescendEngine& scalar_engine()
+    {
+        if (scalar_engine_ == nullptr) {
+            EngineOptions scalar_options = executor_->options().engine;
+            scalar_options.simd = simd::Level::scalar;
+            scalar_engine_ = std::make_unique<DescendEngine>(
+                automaton::CompiledQuery::compile(
+                    executor_->engine().compiled_query().source()),
+                scalar_options);
+        }
+        return *scalar_engine_;
+    }
+
+    const StreamExecutor* executor_;
+    RunScratch scratch_;
+    std::unique_ptr<DescendEngine> scalar_engine_;
+};
 
 }  // namespace
 
@@ -56,276 +73,19 @@ StreamResult StreamExecutor::run_records(PaddedView input,
                                          const std::vector<RecordSpan>& records,
                                          StreamSink& sink) const
 {
-    StreamResult result;
-    result.records = records.size();
-    if (records.empty()) {
-        return result;
-    }
-
-    const std::size_t batch_size =
-        options_.records_per_batch > 0 ? options_.records_per_batch : 1;
-    const std::size_t num_batches =
-        (records.size() + batch_size - 1) / batch_size;
-    std::size_t workers = options_.threads != 0
-                              ? options_.threads
-                              : std::thread::hardware_concurrency();
-    workers = std::min(std::max<std::size_t>(workers, 1), num_batches);
-
-    const bool fail_fast = options_.policy == ErrorPolicy::kFailFast;
-    const bool retry_scalar = options_.policy == ErrorPolicy::kRetryScalar;
-    const RunBudget& stream_budget = options_.stream_budget;
-    const bool stream_governed = stream_budget.active();
-    const bool record_governed = options_.record_budget_ms > 0;
-    std::vector<std::vector<RecordOutcome>> outcomes(num_batches);
-    std::atomic<std::size_t> next_batch{0};
-    std::atomic<std::size_t> error_floor{kNoError};
-    // First record in document order that did not finish because the
-    // stream budget tripped. Monotone like error_floor: every record below
-    // the final value finished, so the replay below is deterministic in
-    // the set of finished records, not in thread interleaving.
-    std::atomic<std::size_t> budget_floor{kNoError};
-
-    // Per-shard obs aggregation: each worker owns one registry (no
-    // synchronization in the hot path) and the merge below folds them into
-    // the stream-level report after the join. Counters/timings are empty
-    // when the gate is off; the retry tallies ride the rare failure path
-    // and are ungated.
-    struct ShardObs {
-        obs::Counters counters;
-        obs::Timings timings;
-        std::size_t record_blocks = 0;
-        std::size_t retried = 0;
-        std::size_t diverged = 0;
-    };
-    std::vector<ShardObs> shard_obs(workers);
-
-    auto worker = [&](std::size_t shard) {
-        if constexpr (fault::kEnabled) {
-            // Deterministic worker stall (payload = milliseconds): lets
-            // tests pin down budget floors under scheduling skew.
-            fault::maybe_stall(fault::Site::kWorkerStartup);
-        }
-        ShardObs& local = shard_obs[shard];
-        // Worker-lifetime scratch: the match collectors keep their buffer
-        // capacity across every record this worker runs, so the steady
-        // state allocates only for records that actually match (the copy
-        // into the outcome below).
-        RunScratch scratch;
-        // Scalar-tier engine for kRetryScalar, built on first use (the
-        // failure path): same query and options, scalar kernels.
-        std::unique_ptr<DescendEngine> scalar_engine;
-        for (;;) {
-            std::size_t batch = next_batch.fetch_add(1, std::memory_order_relaxed);
-            if (batch >= num_batches) {
-                break;
-            }
-            std::size_t first = batch * batch_size;
-            std::size_t last = std::min(first + batch_size, records.size());
-            if (stream_governed &&
-                stream_budget.exceeded() != StatusCode::kOk) {
-                // Budget tripped between batches: everything from this
-                // batch on is unfinished. Batches are claimed in
-                // ascending order, so `first` bounds every unclaimed
-                // record from below.
-                lower_floor(budget_floor, first);
-                break;
-            }
-            if (fail_fast && first > error_floor.load(std::memory_order_relaxed)) {
-                continue;
-            }
-            std::vector<RecordOutcome>& out = outcomes[batch];
-            out.reserve(last - first);
-            bool budget_tripped = false;
-            for (std::size_t r = first; r < last; ++r) {
-                if (fail_fast && r > error_floor.load(std::memory_order_relaxed)) {
-                    break;
-                }
-                if (stream_governed &&
-                    stream_budget.exceeded() != StatusCode::kOk) {
-                    lower_floor(budget_floor, r);
-                    budget_tripped = true;
-                    break;
-                }
-                const RecordSpan& span = records[r];
-                scratch.matches.reset();
-                RecordOutcome outcome;
-                outcome.record = r;
-                // Active stream governance replaces the engine's own
-                // budget for record runs; a per-record deadline nests
-                // inside the stream budget.
-                RunBudget record_budget = stream_budget;
-                if (record_governed) {
-                    record_budget = stream_budget.tightened(
-                        RunBudget::Clock::now() +
-                        std::chrono::milliseconds(options_.record_budget_ms));
-                }
-                RunStats run_stats =
-                    stream_governed || record_governed
-                        ? engine_.run_with_stats(
-                              input.subview(span.begin, span.size()),
-                              scratch.matches, record_budget)
-                        : engine_.run_with_stats(
-                              input.subview(span.begin, span.size()),
-                              scratch.matches);
-                outcome.status = run_stats.status;
-                if constexpr (obs::kEnabled) {
-                    local.counters.merge(run_stats.counters);
-                    local.timings.merge(run_stats.timings);
-                    local.record_blocks +=
-                        (span.size() + simd::kBlockSize - 1) / simd::kBlockSize;
-                }
-                if (!outcome.status.ok() && outcome.status.is_governance() &&
-                    stream_governed &&
-                    stream_budget.exceeded() != StatusCode::kOk) {
-                    // The *stream* budget (not a per-record one) cut this
-                    // run short: the record is unfinished, not failed.
-                    lower_floor(budget_floor, r);
-                    budget_tripped = true;
-                    break;
-                }
-                if (!outcome.status.ok() && retry_scalar &&
-                    !outcome.status.is_governance()) {
-                    // Degradation re-run on the scalar tier; the scalar
-                    // verdict (including its matches) replaces the
-                    // original.
-                    if (scalar_engine == nullptr) {
-                        EngineOptions scalar_options = options_.engine;
-                        scalar_options.simd = simd::Level::scalar;
-                        scalar_engine = std::make_unique<DescendEngine>(
-                            automaton::CompiledQuery::compile(
-                                engine_.compiled_query().source()),
-                            scalar_options);
-                    }
-                    scratch.retry_matches.reset();
-                    RunStats scalar_stats =
-                        stream_governed || record_governed
-                            ? scalar_engine->run_with_stats(
-                                  input.subview(span.begin, span.size()),
-                                  scratch.retry_matches, record_budget)
-                            : scalar_engine->run_with_stats(
-                                  input.subview(span.begin, span.size()),
-                                  scratch.retry_matches);
-                    ++local.retried;
-                    local.counters.add(obs::Counter::kScalarRetries);
-                    if (scalar_stats.status.code != outcome.status.code ||
-                        scalar_stats.status.offset != outcome.status.offset) {
-                        ++local.diverged;
-                        local.counters.add(obs::Counter::kTierDivergences);
-                    }
-                    outcome.status = scalar_stats.status;
-                    if (outcome.status.ok()) {
-                        outcome.offsets.assign(
-                            scratch.retry_matches.offsets().begin(),
-                            scratch.retry_matches.offsets().end());
-                    }
-                } else if (outcome.status.ok()) {
-                    outcome.offsets.assign(scratch.matches.offsets().begin(),
-                                           scratch.matches.offsets().end());
-                }
-                if (!outcome.status.ok() && fail_fast) {
-                    lower_floor(error_floor, r);
-                }
-                bool failed = !outcome.status.ok();
-                out.push_back(std::move(outcome));
-                if (fail_fast && failed) {
-                    break;
-                }
-            }
-            if (budget_tripped) {
-                break;
-            }
-        }
-    };
-
-    if (workers <= 1) {
-        worker(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t i = 0; i < workers; ++i) {
-            pool.emplace_back(worker, i);
-        }
-        for (std::thread& thread : pool) {
-            thread.join();
-        }
-    }
-    for (const ShardObs& shard : shard_obs) {
-        result.counters.merge(shard.counters);
-        result.timings.merge(shard.timings);
-        result.record_blocks += shard.record_blocks;
-        result.retried_records += shard.retried;
-        result.tier_divergences += shard.diverged;
-    }
-
-    // Ordered replay: batches ascend and records ascend within each batch,
-    // so a single pass delivers document order to the (single-threaded)
-    // sink. Under fail-fast, everything past the floor is discarded — the
-    // floor record itself is the stream's one reported error. The budget
-    // floor acts the same way, except its floor record has no outcome of
-    // its own (it never finished), so its error is synthesized after the
-    // replay.
-    const std::size_t floor = error_floor.load(std::memory_order_relaxed);
-    const std::size_t bfloor = budget_floor.load(std::memory_order_relaxed);
-    bool stopped = false;
-    bool error_stopped = false;
-    for (std::size_t batch = 0; batch < num_batches && !stopped; ++batch) {
-        for (const RecordOutcome& outcome : outcomes[batch]) {
-            if (outcome.record >= bfloor) {
-                // Finished after the budget floor: discarded, like a
-                // fail-fast record past the error floor.
-                stopped = true;
-                break;
-            }
-            if (fail_fast && outcome.record > floor) {
-                stopped = true;
-                error_stopped = true;
-                break;
-            }
-            if (outcome.status.ok()) {
-                for (std::size_t offset : outcome.offsets) {
-                    sink.on_match(outcome.record, offset);
-                }
-                result.matches += outcome.offsets.size();
-            } else {
+    using Outcome = RecordOutcome<std::vector<std::size_t>>;
+    return schedule_records<std::vector<std::size_t>>(
+        input, records, options_, [this] { return RecordRunner(*this); },
+        [&sink](const Outcome& outcome) -> std::size_t {
+            if (!outcome.status.ok()) {
                 sink.on_record_error(outcome.record, outcome.status);
-                ++result.failed_records;
-                ++result.error_tally[static_cast<std::size_t>(outcome.status.code)];
-                if (result.first_error_record == StreamResult::kNone) {
-                    result.first_error_record = outcome.record;
-                    result.first_error = outcome.status;
-                    result.first_error_span_begin =
-                        records[outcome.record].begin;
-                }
-                if (fail_fast) {
-                    stopped = true;
-                    error_stopped = true;
-                    break;
-                }
+                return 0;
             }
-        }
-    }
-    if (bfloor != kNoError && !error_stopped) {
-        // The stream budget stopped the run: synthesize the floor record's
-        // governance error. Offset 0 — none of the record was conclusively
-        // processed.
-        StatusCode code = stream_budget.exceeded();
-        if (code == StatusCode::kOk) {
-            // The deadline passed mid-run but a cancel token was since
-            // reset; the floor is still authoritative.
-            code = StatusCode::kDeadlineExceeded;
-        }
-        EngineStatus synthesized{code, 0};
-        result.budget_stopped = true;
-        sink.on_record_error(bfloor, synthesized);
-        ++result.failed_records;
-        ++result.error_tally[static_cast<std::size_t>(code)];
-        if (result.first_error_record == StreamResult::kNone) {
-            result.first_error_record = bfloor;
-            result.first_error = synthesized;
-            result.first_error_span_begin = records[bfloor].begin;
-        }
-    }
-    return result;
+            for (std::size_t offset : outcome.matches) {
+                sink.on_match(outcome.record, offset);
+            }
+            return outcome.matches.size();
+        });
 }
 
 }  // namespace descend::stream

@@ -9,7 +9,8 @@
  * subview of the one stream buffer; per-record results are buffered per
  * batch and replayed in document order through the StreamSink after the
  * workers join, so the sink observes exactly the sequential order and never
- * needs to be thread-safe.
+ * needs to be thread-safe. The scheduling loop itself lives in
+ * record_scheduler.h, shared with multi::MultiStreamExecutor.
  *
  * Failure semantics are deterministic for every thread count:
  *  - ErrorPolicy::kSkipRecord — every failed record is reported through

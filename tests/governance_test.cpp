@@ -2,8 +2,9 @@
  * @file
  * Run-governance tests: RunBudget/CancelToken semantics, pre-expired and
  * mid-run governance across every engine, deterministic stream-budget
- * behaviour at every thread count, the kRetryScalar degradation policy,
- * and the exact-boundary behaviour of every EngineLimits knob.
+ * behaviour at every thread count on both stream executors (the fused one
+ * on both backends), the kRetryScalar degradation policy, and the
+ * exact-boundary behaviour of every EngineLimits knob.
  *
  * Determinism discipline: no test here depends on wall-clock timing. A
  * "tripped" budget is always one whose deadline is already in the past (or
@@ -21,6 +22,7 @@
 #include "descend/baselines/surfer_engine.h"
 #include "descend/descend.h"
 #include "descend/multi/multi_engine.h"
+#include "descend/multi/multi_stream.h"
 #include "descend/stream/stream_executor.h"
 #include "descend/util/budget.h"
 #include "test_helpers.h"
@@ -257,36 +259,89 @@ std::string ndjson_stream(std::size_t records)
     return text;
 }
 
+/** The stream executors the governance cases run on: the single-query
+ *  executor, and the multi-query executor over a one-query set on each
+ *  fused backend. All share one scheduling policy, so each case must come
+ *  out identical on every one of them. */
+enum class Executor { kSingle, kMultiLanes, kMultiProduct };
+
+constexpr Executor kExecutors[] = {Executor::kSingle, Executor::kMultiLanes,
+                                   Executor::kMultiProduct};
+
+std::string executor_name(Executor executor)
+{
+    switch (executor) {
+        case Executor::kSingle: return "single";
+        case Executor::kMultiLanes: return "multi-lanes";
+        case Executor::kMultiProduct: return "multi-product";
+    }
+    return "?";
+}
+
+/** What one stream run delivered. */
+struct StreamRun {
+    stream::StreamResult result;
+    std::vector<stream::CollectingStreamSink::RecordError> errors;
+    std::size_t delivered = 0;  ///< matches the sink received
+};
+
+StreamRun run_stream(Executor executor, const std::string& query,
+                     const stream::StreamOptions& options,
+                     const PaddedString& input)
+{
+    StreamRun run;
+    if (executor == Executor::kSingle) {
+        stream::StreamExecutor single =
+            stream::StreamExecutor::for_query(query, options);
+        stream::CollectingStreamSink sink;
+        run.result = single.run(input, sink);
+        run.errors = sink.errors();
+        run.delivered = sink.matches().size();
+        return run;
+    }
+    multi::MultiStreamExecutor fused = multi::MultiStreamExecutor::for_queries(
+        {query}, options,
+        executor == Executor::kMultiLanes ? multi::FusedBackend::kLanes
+                                          : multi::FusedBackend::kProduct);
+    multi::CollectingMultiStreamSink sink;
+    run.result = fused.run(input, sink);
+    run.errors = sink.errors();
+    run.delivered = sink.matches().size();
+    return run;
+}
+
 TEST(GovernanceStreamTest, PreExpiredStreamBudgetIsIdenticalAtEveryThreadCount)
 {
     std::string text = ndjson_stream(8);
     PaddedString padded(text);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        stream::StreamOptions options;
-        options.threads = threads;
-        options.records_per_batch = 2;
-        options.stream_budget = expired_budget();
-        stream::StreamExecutor executor =
-            stream::StreamExecutor::for_query("$..id", options);
-        stream::CollectingStreamSink sink;
-        stream::StreamResult result = executor.run(padded, sink);
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        EXPECT_TRUE(result.budget_stopped);
-        EXPECT_EQ(result.records, 8u);
-        EXPECT_EQ(result.matches, 0u);
-        EXPECT_EQ(result.failed_records, 1u);
-        EXPECT_EQ(result.first_error_record, 0u);
-        EXPECT_EQ(result.first_error,
-                  (EngineStatus{StatusCode::kDeadlineExceeded, 0}));
-        EXPECT_EQ(result.first_error_span_begin, 0u);
-        ASSERT_EQ(sink.errors().size(), 1u);
-        EXPECT_EQ(sink.errors().front().record, 0u);
-        EXPECT_EQ(sink.errors().front().status,
-                  (EngineStatus{StatusCode::kDeadlineExceeded, 0}));
-        EXPECT_TRUE(sink.matches().empty());
-        EXPECT_EQ(result.error_tally[static_cast<std::size_t>(
-                      StatusCode::kDeadlineExceeded)],
-                  1u);
+    for (Executor executor : kExecutors) {
+        for (std::size_t threads :
+             {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+            stream::StreamOptions options;
+            options.threads = threads;
+            options.records_per_batch = 2;
+            options.stream_budget = expired_budget();
+            SCOPED_TRACE(executor_name(executor) +
+                         " threads=" + std::to_string(threads));
+            StreamRun run = run_stream(executor, "$..id", options, padded);
+            const stream::StreamResult& result = run.result;
+            EXPECT_TRUE(result.budget_stopped);
+            EXPECT_EQ(result.records, 8u);
+            EXPECT_EQ(result.matches, 0u);
+            EXPECT_EQ(result.failed_records, 1u);
+            EXPECT_EQ(result.first_error_record, 0u);
+            EXPECT_EQ(result.first_error,
+                      (EngineStatus{StatusCode::kDeadlineExceeded, 0}));
+            EXPECT_EQ(result.first_error_span_begin, 0u);
+            ASSERT_EQ(run.errors.size(), 1u);
+            EXPECT_EQ(run.errors.front().record, 0u);
+            EXPECT_EQ(run.errors.front().status,
+                      (EngineStatus{StatusCode::kDeadlineExceeded, 0}));
+            EXPECT_EQ(run.delivered, 0u);
+            EXPECT_EQ(result.error_tally[static_cast<std::size_t>(
+                          StatusCode::kDeadlineExceeded)],
+                      1u);
+        }
     }
 }
 
@@ -296,19 +351,20 @@ TEST(GovernanceStreamTest, PreCancelledStreamBudgetSynthesizesCancelled)
     PaddedString padded(text);
     CancelToken token;
     token.cancel();
-    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        stream::StreamOptions options;
-        options.threads = threads;
-        options.stream_budget = RunBudget::with_cancel(&token);
-        stream::StreamExecutor executor =
-            stream::StreamExecutor::for_query("$..id", options);
-        stream::CollectingStreamSink sink;
-        stream::StreamResult result = executor.run(padded, sink);
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        EXPECT_TRUE(result.budget_stopped);
-        EXPECT_EQ(result.first_error_record, 0u);
-        EXPECT_EQ(result.first_error,
-                  (EngineStatus{StatusCode::kCancelled, 0}));
+    for (Executor executor : kExecutors) {
+        for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+            stream::StreamOptions options;
+            options.threads = threads;
+            options.stream_budget = RunBudget::with_cancel(&token);
+            SCOPED_TRACE(executor_name(executor) +
+                         " threads=" + std::to_string(threads));
+            stream::StreamResult result =
+                run_stream(executor, "$..id", options, padded).result;
+            EXPECT_TRUE(result.budget_stopped);
+            EXPECT_EQ(result.first_error_record, 0u);
+            EXPECT_EQ(result.first_error,
+                      (EngineStatus{StatusCode::kCancelled, 0}));
+        }
     }
 }
 
@@ -320,15 +376,16 @@ TEST(GovernanceStreamTest, GenerousBudgetsLeaveTheStreamUntouched)
     options.threads = 2;
     options.stream_budget = RunBudget::within_ms(1000000);
     options.record_budget_ms = 1000000;
-    stream::StreamExecutor executor =
-        stream::StreamExecutor::for_query("$..id", options);
-    stream::CollectingStreamSink sink;
-    stream::StreamResult result = executor.run(padded, sink);
-    EXPECT_FALSE(result.budget_stopped);
-    EXPECT_TRUE(result.ok());
-    EXPECT_EQ(result.records, 6u);
-    EXPECT_EQ(result.matches, 6u);
-    EXPECT_EQ(result.retried_records, 0u);
+    for (Executor executor : kExecutors) {
+        SCOPED_TRACE(executor_name(executor));
+        StreamRun run = run_stream(executor, "$..id", options, padded);
+        EXPECT_FALSE(run.result.budget_stopped);
+        EXPECT_TRUE(run.result.ok());
+        EXPECT_EQ(run.result.records, 6u);
+        EXPECT_EQ(run.result.matches, 6u);
+        EXPECT_EQ(run.delivered, 6u);
+        EXPECT_EQ(run.result.retried_records, 0u);
+    }
 }
 
 TEST(GovernanceStreamTest, RetryScalarReRunsFailedRecordsOnScalarTier)
@@ -350,23 +407,25 @@ TEST(GovernanceStreamTest, RetryScalarReRunsFailedRecordsOnScalarTier)
         scalar_reference.offsets_checked(bad_record).status;
     ASSERT_FALSE(scalar_verdict.ok());
 
-    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        stream::StreamOptions options;
-        options.threads = threads;
-        options.policy = stream::ErrorPolicy::kRetryScalar;
-        stream::StreamExecutor executor =
-            stream::StreamExecutor::for_query("$..id", options);
-        stream::CollectingStreamSink sink;
-        stream::StreamResult result = executor.run(padded, sink);
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        EXPECT_EQ(result.records, 4u);
-        EXPECT_EQ(result.matches, 3u);
-        EXPECT_EQ(result.failed_records, 1u);
-        EXPECT_EQ(result.retried_records, 1u);
-        EXPECT_EQ(result.tier_divergences, 0u);
-        ASSERT_EQ(sink.errors().size(), 1u);
-        EXPECT_EQ(sink.errors().front().record, 2u);
-        EXPECT_EQ(sink.errors().front().status, scalar_verdict);
+    for (Executor executor : kExecutors) {
+        for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+            stream::StreamOptions options;
+            options.threads = threads;
+            options.policy = stream::ErrorPolicy::kRetryScalar;
+            SCOPED_TRACE(executor_name(executor) +
+                         " threads=" + std::to_string(threads));
+            StreamRun run = run_stream(executor, "$..id", options, padded);
+            const stream::StreamResult& result = run.result;
+            EXPECT_EQ(result.records, 4u);
+            EXPECT_EQ(result.matches, 3u);
+            EXPECT_EQ(run.delivered, 3u);
+            EXPECT_EQ(result.failed_records, 1u);
+            EXPECT_EQ(result.retried_records, 1u);
+            EXPECT_EQ(result.tier_divergences, 0u);
+            ASSERT_EQ(run.errors.size(), 1u);
+            EXPECT_EQ(run.errors.front().record, 2u);
+            EXPECT_EQ(run.errors.front().status, scalar_verdict);
+        }
     }
 }
 
@@ -377,13 +436,14 @@ TEST(GovernanceStreamTest, GovernanceFailuresAreNeverRetried)
     stream::StreamOptions options;
     options.policy = stream::ErrorPolicy::kRetryScalar;
     options.stream_budget = expired_budget();
-    stream::StreamExecutor executor =
-        stream::StreamExecutor::for_query("$..id", options);
-    stream::CollectingStreamSink sink;
-    stream::StreamResult result = executor.run(padded, sink);
-    EXPECT_TRUE(result.budget_stopped);
-    EXPECT_EQ(result.retried_records, 0u);
-    EXPECT_EQ(result.tier_divergences, 0u);
+    for (Executor executor : kExecutors) {
+        SCOPED_TRACE(executor_name(executor));
+        stream::StreamResult result =
+            run_stream(executor, "$..id", options, padded).result;
+        EXPECT_TRUE(result.budget_stopped);
+        EXPECT_EQ(result.retried_records, 0u);
+        EXPECT_EQ(result.tier_divergences, 0u);
+    }
 }
 
 TEST(GovernanceStreamTest, AbsoluteErrorPositionIsSpanBeginPlusOffset)
@@ -402,16 +462,17 @@ TEST(GovernanceStreamTest, AbsoluteErrorPositionIsSpanBeginPlusOffset)
     EngineStatus reference = engine.offsets_checked(bad_copy).status;
     ASSERT_FALSE(reference.ok());
 
-    stream::StreamExecutor executor =
-        stream::StreamExecutor::for_query("$..id", {});
-    stream::CollectingStreamSink sink;
-    stream::StreamResult result = executor.run(padded, sink);
-    ASSERT_EQ(result.failed_records, 1u);
-    EXPECT_EQ(result.first_error_record, 1u);
-    EXPECT_EQ(result.first_error, reference);
-    EXPECT_EQ(result.first_error_span_begin, first.size() + 1);
-    EXPECT_EQ(result.first_error_span_begin + result.first_error.offset,
-              first.size() + 1 + reference.offset);
+    for (Executor executor : kExecutors) {
+        SCOPED_TRACE(executor_name(executor));
+        stream::StreamResult result =
+            run_stream(executor, "$..id", {}, padded).result;
+        ASSERT_EQ(result.failed_records, 1u);
+        EXPECT_EQ(result.first_error_record, 1u);
+        EXPECT_EQ(result.first_error, reference);
+        EXPECT_EQ(result.first_error_span_begin, first.size() + 1);
+        EXPECT_EQ(result.first_error_span_begin + result.first_error.offset,
+                  first.size() + 1 + reference.offset);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -81,10 +81,18 @@ void expect_fused_matches_independent(const std::vector<std::string>& queries,
             std::unique_ptr<multi::FusedEngine> fused =
                 multi::make_fused_engine(queries, options, backend);
             CollectingMultiSink sink(queries.size());
-            ASSERT_EQ(fused->run(padded, sink), EngineStatus{});
+            RunStats stats = fused->run_with_stats(padded, sink);
+            ASSERT_EQ(stats.status, EngineStatus{});
             for (std::size_t q = 0; q < queries.size(); ++q) {
                 EXPECT_EQ(sink.offsets(q), expected[q])
                     << "query: " << queries[q];
+            }
+            if (backend == FusedBackend::kProduct) {
+                // Every product skip is a child, sibling or within skip
+                // certified by one product state.
+                EXPECT_EQ(stats.counters.get(obs::Counter::kProductSkips),
+                          stats.child_skips() + stats.sibling_skips() +
+                              stats.within_skips());
             }
         }
     }
