@@ -8,17 +8,18 @@
  *  - Automaton supplies initial_state(), transition(), flags(), row_class(),
  *    waiting_symbol() and head_skip_label() over a shared Alphabet:
  *    DescendEngine instantiates it over a CompiledQuery, the product
- *    backend over the set's ProductAutomaton.
+ *    engine over each ProductAutomaton group of the set.
  *  - Reporter receives every match as report(accepting_state, offset) and
  *    returns false when a match limit trips. How an accepting state turns
  *    into sink calls (a filter gate and one counter for a single query; a
- *    subscriber fan-out with per-query counters for a set) is the only
- *    thing the two engines do differently.
+ *    subscriber fan-out with per-query filter gates and counters for a
+ *    set) is the only thing the two engines do differently.
  *
- * run_document() is the sequence every engine (the lanes backend included)
- * wraps around its simulation: preflight, governance, the O(1) `$` path,
- * the validator, head-skip or the main loop, the trailing-content check,
- * the verdict, the governance tally and the block accountant's books.
+ * run_document() is the sequence both engines wrap around their
+ * simulation (the product engine once per group): preflight, governance,
+ * the O(1) `$` path, the validator, head-skip or the main loop, the
+ * trailing-content check, the verdict, the governance tally and the block
+ * accountant's books.
  */
 #pragma once
 

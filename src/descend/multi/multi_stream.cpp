@@ -1,7 +1,7 @@
 #include "descend/multi/multi_stream.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "descend/stream/record_scheduler.h"
@@ -75,7 +75,8 @@ public:
     RunStats operator()(PaddedView record, const RunBudget* budget, bool scalar,
                         RecordMatches& matches)
     {
-        const FusedEngine& engine = scalar ? scalar_engine() : executor_->engine();
+        const ProductDescendEngine& engine =
+            scalar ? scalar_engine() : executor_->engine();
         collector_.reset();
         RunStats stats = budget != nullptr
                              ? engine.run_with_stats(record, collector_, *budget)
@@ -87,29 +88,21 @@ public:
     }
 
 private:
-    /** Scalar-tier fused engine for kRetryScalar, built on first use (same
-     *  backend selection as the primary engine). */
-    const FusedEngine& scalar_engine()
+    /** Scalar-tier engine for kRetryScalar, built on first use over the
+     *  primary engine's compiled groups. */
+    const ProductDescendEngine& scalar_engine()
     {
-        if (scalar_engine_ == nullptr) {
-            const MultiQuery& set = executor_->engine().query_set();
+        if (!scalar_engine_.has_value()) {
             EngineOptions scalar_options = executor_->options().engine;
             scalar_options.simd = simd::Level::scalar;
-            std::vector<query::Query> sources;
-            sources.reserve(set.size());
-            for (std::size_t q = 0; q < set.size(); ++q) {
-                sources.push_back(set.source(q));
-            }
-            scalar_engine_ = make_fused_engine(MultiQuery::compile(sources),
-                                               scalar_options,
-                                               executor_->backend());
+            scalar_engine_.emplace(executor_->engine(), scalar_options);
         }
         return *scalar_engine_;
     }
 
     const MultiStreamExecutor* executor_;
     ReusableMultiSink collector_;
-    std::unique_ptr<FusedEngine> scalar_engine_;
+    std::optional<ProductDescendEngine> scalar_engine_;
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <queue>
 #include <utility>
 
@@ -51,18 +52,26 @@ struct RawState {
     int accept_id = 0;
 };
 
-std::vector<TrieNode> build_trie(const MultiQuery& set)
+std::vector<TrieNode> build_trie(const MultiQuery& set,
+                                 const std::vector<int>& ids)
 {
     std::vector<TrieNode> trie(1);
-    for (std::size_t d = 0; d < set.num_distinct(); ++d) {
-        const auto& selectors = set.distinct(d).source().selectors();
+    for (int d : ids) {
+        const auto& selectors =
+            set.distinct(static_cast<std::size_t>(d)).source().selectors();
         int node = 0;
         for (const query::Selector& selector : selectors) {
             if (selector.kind == query::SelectorKind::kRoot) {
                 continue;
             }
+            // A filter advances like a child wildcard; its predicate runs
+            // at report time (ProductDescendEngine's per-query gate).
+            const query::SelectorKind kind =
+                selector.kind == query::SelectorKind::kChildFilter
+                    ? query::SelectorKind::kChildWildcard
+                    : selector.kind;
             std::vector<int> symbols;
-            switch (selector.kind) {
+            switch (kind) {
                 case query::SelectorKind::kChild:
                 case query::SelectorKind::kDescendant:
                     symbols.push_back(
@@ -85,20 +94,12 @@ std::vector<TrieNode> build_trie(const MultiQuery& set)
                             set.alphabet().label_symbol(member.escaped));
                     }
                     break;
-                case query::SelectorKind::kChildFilter:
-                    // Predicates are evaluated per lane over the candidate
-                    // value; the shared product automaton has no lane to
-                    // hang that on. Refuse compilation — FusedBackend::kAuto
-                    // catches this and falls back to per-query lanes.
-                    throw LimitError(
-                        "the product backend does not support filter "
-                        "selectors; use per-query lanes");
                 default:
                     break;
             }
             int next = -1;
             for (const TrieEdge& edge : trie[static_cast<std::size_t>(node)].edges) {
-                if (edge.kind == selector.kind && edge.symbols == symbols) {
+                if (edge.kind == kind && edge.symbols == symbols) {
                     next = edge.target;
                     break;
                 }
@@ -106,12 +107,12 @@ std::vector<TrieNode> build_trie(const MultiQuery& set)
             if (next < 0) {
                 next = static_cast<int>(trie.size());
                 trie[static_cast<std::size_t>(node)].edges.push_back(
-                    {selector.kind, symbols, next});
+                    {kind, symbols, next});
                 trie.emplace_back();
             }
             node = next;
         }
-        trie[static_cast<std::size_t>(node)].accepts.push_back(static_cast<int>(d));
+        trie[static_cast<std::size_t>(node)].accepts.push_back(d);
     }
     return trie;
 }
@@ -231,7 +232,16 @@ std::vector<int> minimize_blocks(const std::vector<RawState>& states)
 
 ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states)
 {
-    std::vector<TrieNode> trie = build_trie(set);
+    std::vector<int> ids(set.num_distinct());
+    std::iota(ids.begin(), ids.end(), 0);
+    return compile(set, ids, max_states);
+}
+
+ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set,
+                                           const std::vector<int>& ids,
+                                           int max_states)
+{
+    std::vector<TrieNode> trie = build_trie(set, ids);
     std::vector<NfaRow> rows = build_rows(trie);
 
     // Accept-set interning; id 0 is the empty set so `!= 0` means accepts.
@@ -327,6 +337,10 @@ ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states
     ProductAutomaton out;
     out.num_states_ = num_blocks;
     out.initial_ = block[0];
+    for (int d : ids) {
+        out.has_indices_ = out.has_indices_ ||
+                           set.distinct(static_cast<std::size_t>(d)).has_indices();
+    }
     out.fallback_.resize(static_cast<std::size_t>(num_blocks));
     out.accept_id_.resize(static_cast<std::size_t>(num_blocks));
     out.ex_begin_.assign(static_cast<std::size_t>(num_blocks) + 1, 0);

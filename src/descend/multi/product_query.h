@@ -2,16 +2,19 @@
  * @file
  * Set-compiled execution artifact: ONE automaton for the whole query set.
  *
- * The lanes backend (multi_engine.h) simulates N independent automata per
- * structural event — O(N) per event, with skips degrading to unanimous
- * consensus. QuerySetCompiler instead factors the deduplicated query set
- * into a *trie* of shared selector prefixes over the union Alphabet and
- * lowers that trie to a single deterministic product automaton:
+ * Simulating N independent automata per structural event costs O(N) per
+ * event, and every skip would need all N to agree. QuerySetCompiler instead
+ * factors the deduplicated query set into a *trie* of shared selector
+ * prefixes over the union Alphabet and lowers that trie to a single
+ * deterministic product automaton:
  *
  *   - Trie nodes are selector prefixes; edges carry the selector kind
  *     (child label / child wildcard / child index / descendant label /
  *     descendant wildcard) keyed by shared-alphabet symbols, so `$.a.x`
- *     and `$.a..y` share the `$.a` prefix state.
+ *     and `$.a..y` share the `$.a` prefix state. A trailing filter is a
+ *     child wildcard edge, as in CompiledQuery; its predicate is the
+ *     engine's report-time gate, so `$.a[?(@.x)]` and `$.a.*` accept at
+ *     the same node.
  *   - Descendant recursion is modelled per-node with a companion *hub*
  *     state: a node with descendant edges contributes its hub to every
  *     successor (the "search goes on below" component), and the hub
@@ -29,9 +32,9 @@
  * paper Section 3.3), but computed on the union automaton they become
  * set-level skip decisions: `rejecting` is the precomputed "can anything
  * in the whole set match below" bit, so one child-skip test replaces N
- * lane votes, and `unitary`/`waiting` certify sibling/within skips for
- * every subscriber at once. Per-event cost is O(distinct automaton
- * states) — one transition — instead of O(N) lanes.
+ * per-query votes, and `unitary`/`waiting` certify sibling/within skips
+ * for every subscriber at once. Per-event cost is one transition,
+ * whatever N is.
  *
  * Transitions are stored as per-state exception lists over a fallback (the
  * OTHER successor): union alphabets of 1k-query sets have thousands of
@@ -122,11 +125,16 @@ public:
         return head_skip_label_;
     }
 
+    /** True when a compiled query uses index selectors (runs then track
+     *  array-entry counters). */
+    bool has_indices() const noexcept { return has_indices_; }
+
 private:
     friend class QuerySetCompiler;
 
     int num_states_ = 0;
     int initial_ = 0;
+    bool has_indices_ = false;
     /** CSR exception lists: state s owns [ex_begin_[s], ex_begin_[s+1]). */
     std::vector<std::uint32_t> ex_begin_;
     std::vector<std::int32_t> ex_symbols_;
@@ -145,10 +153,17 @@ public:
     /**
      * Lowers the deduplicated set to its product automaton. @p max_states
      * caps subset construction (the descendant-plus-wildcard blowup of
-     * Section 3.1 compounds across queries); LimitError beyond it — the
-     * `auto` backend then falls back to lanes, which have no such cap.
+     * Section 3.1 compounds across queries); LimitError beyond it —
+     * ProductDescendEngine then splits the set into groups.
      */
     static ProductAutomaton compile(const MultiQuery& set,
+                                    int max_states = 1 << 15);
+
+    /** Lowers only the distinct queries @p ids of @p set, over the set's
+     *  shared alphabet. Accept sets keep the set's distinct ids, so groups
+     *  of one set report through one subscriber space. */
+    static ProductAutomaton compile(const MultiQuery& set,
+                                    const std::vector<int>& ids,
                                     int max_states = 1 << 15);
 };
 

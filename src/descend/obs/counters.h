@@ -53,12 +53,13 @@ enum class Counter : std::uint8_t {
     kWithinSkips,         ///< within-element label fast-forwards (§4.5)
     kHeadSkipJumps,       ///< head-skip label occurrences processed
     // --- fused multi-query execution: skips one lane wanted but another
-    //     vetoed (the region was iterated structurally instead) ---
+    //     vetoed. Only the deleted lanes backend could veto a skip; the
+    //     product engine never does, so these always read 0. Kept because
+    //     counter names are a frozen schema. ---
     kFusedChildSkipSuppressed,    ///< child skips lost to disagreement
     kFusedSiblingSkipSuppressed,  ///< sibling skips lost to disagreement
     kFusedWithinSkipSuppressed,   ///< within-element skips lost to disagreement
-    // --- set-compiled execution (src/descend/multi/product_engine.h; the
-    //     fanout tally also covers the lanes backend's owner expansion) ---
+    // --- set-compiled execution (src/descend/multi/product_engine.h) ---
     kProductStates,        ///< states of the compiled product automaton (gauge)
     kProductSkips,         ///< fast-forwards certified by a product state
     kSubscriberFanout,     ///< per-subscriber match emissions (incl. duplicates)

@@ -4,7 +4,7 @@
 #include <exception>
 #include <vector>
 
-#include "descend/multi/fused.h"
+#include "descend/multi/multi_sink.h"
 #include "descend/obs/report.h"
 #include "descend/project/span.h"
 #include "descend/simd/dispatch.h"
@@ -128,9 +128,8 @@ Response Dispatcher::dispatch(const Request& request, RunScratch& scratch,
     const RunBudget budget = effective_budget(request, drain_cancel);
 
     bool hit = false;
-    CachedQueryPtr entry = cache_->lookup(request.mode, request.query,
-                                          options, hit,
-                                          policy_.fused_backend);
+    CachedQueryPtr entry =
+        cache_->lookup(request.mode, request.query, options, hit);
 
     Response response;
     if (hit) {

@@ -8,7 +8,7 @@
  * A RequestMode routes to the matching execution substrate:
  *
  *   kSingle → the cached DescendEngine's run_with_stats
- *   kMulti  → the cached MultiDescendEngine (fused single pass)
+ *   kMulti  → the cached ProductDescendEngine (fused single pass)
  *   kNdjson → a per-request StreamExecutor built from the cached
  *             CompiledQuery (a table copy, not a recompilation), run
  *             inline with one worker — the daemon's parallelism is
@@ -52,10 +52,6 @@ struct ServePolicy {
     std::uint32_t default_deadline_ms = 0;
     /** Ceiling on any request's deadline; 0 = uncapped. */
     std::uint32_t max_deadline_ms = 0;
-    /** Fused backend for kMulti requests: kAuto compiles the query set
-     *  into one product automaton and falls back to per-query lanes only
-     *  when the set trips the product state cap. */
-    multi::FusedBackend fused_backend = multi::FusedBackend::kAuto;
     /**
      * Cap on the total projected payload of one kWantValues response.
      * Overlapping descendant matches can make the value set quadratic in

@@ -95,7 +95,7 @@ inline constexpr std::size_t kResponseHeaderSize = 40;
 enum class RequestMode : std::uint16_t {
     /** One query over one JSON document (DescendEngine). */
     kSingle = 0,
-    /** Newline-separated query set, fused (MultiDescendEngine). */
+    /** Newline-separated query set, fused (ProductDescendEngine). */
     kMulti = 1,
     /** One query over an NDJSON stream (StreamExecutor, inline). */
     kNdjson = 2,

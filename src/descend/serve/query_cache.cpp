@@ -56,21 +56,16 @@ QueryCache::QueryCache(std::size_t capacity, std::size_t shards)
 }
 
 std::string QueryCache::make_key(RequestMode mode, const std::string& query,
-                                 const EngineLimits& limits,
-                                 multi::FusedBackend backend)
+                                 const EngineLimits& limits)
 {
     // Mode classes that share compiled artifacts share keys: single and
     // NDJSON both use the single-query artifact; multi is its own class,
-    // further split by the fused backend and canonicalized so spelling
-    // variants of one set share an entry.
+    // canonicalized so spelling variants of one set share an entry.
     const bool is_multi = mode == RequestMode::kMulti;
     const char mode_class = is_multi ? 'm' : 's';
     std::string key;
     key.reserve(query.size() + 64);
     key += mode_class;
-    if (is_multi) {
-        key += fused_backend_name(backend).front();
-    }
     key += '\x1f';
     key += std::to_string(limits.max_depth);
     key += '\x1f';
@@ -93,14 +88,12 @@ std::string QueryCache::make_key(RequestMode mode, const std::string& query,
 }
 
 CachedQueryPtr QueryCache::build(RequestMode mode, const std::string& query,
-                                 const EngineOptions& options,
-                                 multi::FusedBackend backend)
+                                 const EngineOptions& options)
 {
     auto entry = std::make_shared<CachedQuery>();
     if (mode == RequestMode::kMulti) {
-        entry->multi_engine = multi::make_fused_engine(
-            multi::MultiQuery::compile(split_query_set(query)), options,
-            backend);
+        entry->multi_engine = std::make_unique<multi::ProductDescendEngine>(
+            multi::MultiQuery::compile(split_query_set(query)), options);
     } else {
         entry->engine = std::make_unique<DescendEngine>(
             automaton::CompiledQuery::compile(query), options);
@@ -109,10 +102,9 @@ CachedQueryPtr QueryCache::build(RequestMode mode, const std::string& query,
 }
 
 CachedQueryPtr QueryCache::lookup(RequestMode mode, const std::string& query,
-                                  const EngineOptions& options, bool& hit,
-                                  multi::FusedBackend backend)
+                                  const EngineOptions& options, bool& hit)
 {
-    const std::string key = make_key(mode, query, options.limits, backend);
+    const std::string key = make_key(mode, query, options.limits);
     Shard& shard =
         *shards_[std::hash<std::string>{}(key) % shards_.size()];
     {
@@ -133,7 +125,7 @@ CachedQueryPtr QueryCache::lookup(RequestMode mode, const std::string& query,
     // last and both callers run on a valid entry.
     hit = false;
     misses_.fetch_add(1, std::memory_order_relaxed);
-    CachedQueryPtr entry = build(mode, query, options, backend);
+    CachedQueryPtr entry = build(mode, query, options);
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
         auto found = shard.index.find(key);

@@ -3,7 +3,8 @@
  * Run-governance tests: RunBudget/CancelToken semantics, pre-expired and
  * mid-run governance across every engine, deterministic stream-budget
  * behaviour at every thread count on both stream executors (the fused one
- * on both backends), the kRetryScalar degradation policy, and the
+ * with a filter query and forced into product groups too), the
+ * kRetryScalar degradation policy, and the
  * exact-boundary behaviour of every EngineLimits knob.
  *
  * Determinism discipline: no test here depends on wall-clock timing. A
@@ -21,8 +22,8 @@
 #include "descend/baselines/ski_engine.h"
 #include "descend/baselines/surfer_engine.h"
 #include "descend/descend.h"
-#include "descend/multi/multi_engine.h"
 #include "descend/multi/multi_stream.h"
+#include "descend/multi/product_engine.h"
 #include "descend/stream/stream_executor.h"
 #include "descend/util/budget.h"
 #include "test_helpers.h"
@@ -156,13 +157,17 @@ TEST(GovernanceEngineTest, PreExpiredDeadlineFailsAtOffsetZeroEverywhere)
         EngineOptions options;
         options.simd = level;
         options.budget = expired_budget();
-        multi::MultiDescendEngine fused(
-            multi::MultiQuery::compile(
-                std::vector<std::string>{"$..b", "$.*"}),
-            options);
-        multi::CollectingMultiSink sink(2);
-        EXPECT_EQ(fused.run(padded, sink), expected)
-            << "multi[" << simd::level_name(level) << "]";
+        // One product automaton, and the same set forced into groups.
+        for (int cap : {1 << 15, 4}) {
+            multi::ProductDescendEngine fused(
+                multi::MultiQuery::compile(
+                    std::vector<std::string>{"$..b", "$.*"}),
+                options, cap);
+            multi::CollectingMultiSink sink(2);
+            EXPECT_EQ(fused.run(padded, sink), expected)
+                << "multi[" << simd::level_name(level) << "] groups "
+                << fused.groups().size();
+        }
     }
 }
 
@@ -260,20 +265,25 @@ std::string ndjson_stream(std::size_t records)
 }
 
 /** The stream executors the governance cases run on: the single-query
- *  executor, and the multi-query executor over a one-query set on each
- *  fused backend. All share one scheduling policy, so each case must come
- *  out identical on every one of them. */
-enum class Executor { kSingle, kMultiLanes, kMultiProduct };
+ *  executor, and the multi-query executor over three sets built around the
+ *  case's query — the query alone; the query plus a filter query whose
+ *  gate runs on every record and admits nothing; the query plus a query
+ *  that never matches, forced into two product groups by the state cap.
+ *  All share one scheduling policy and the same matches, so each case must
+ *  come out identical on every one of them. */
+enum class Executor { kSingle, kMultiProduct, kMultiFilter, kMultiGrouped };
 
-constexpr Executor kExecutors[] = {Executor::kSingle, Executor::kMultiLanes,
-                                   Executor::kMultiProduct};
+constexpr Executor kExecutors[] = {Executor::kSingle, Executor::kMultiProduct,
+                                   Executor::kMultiFilter,
+                                   Executor::kMultiGrouped};
 
 std::string executor_name(Executor executor)
 {
     switch (executor) {
         case Executor::kSingle: return "single";
-        case Executor::kMultiLanes: return "multi-lanes";
         case Executor::kMultiProduct: return "multi-product";
+        case Executor::kMultiFilter: return "multi-filter";
+        case Executor::kMultiGrouped: return "multi-grouped";
     }
     return "?";
 }
@@ -284,6 +294,28 @@ struct StreamRun {
     std::vector<stream::CollectingStreamSink::RecordError> errors;
     std::size_t delivered = 0;  ///< matches the sink received
 };
+
+/** The multi-query engine @p executor runs for @p query (see Executor). */
+multi::ProductDescendEngine multi_engine(Executor executor,
+                                         const std::string& query,
+                                         const EngineOptions& options)
+{
+    std::vector<std::string> queries{query};
+    int max_states = 1 << 15;
+    if (executor == Executor::kMultiFilter) {
+        // The root's members are the id numbers: candidates a field chain
+        // never resolves on.
+        queries.push_back("$[?(@.id)]");
+    } else if (executor == Executor::kMultiGrouped) {
+        queries.push_back("$.absent.x");
+        max_states = 4;  // fits each query alone, not the pair
+    }
+    multi::ProductDescendEngine engine(multi::MultiQuery::compile(queries),
+                                       options, max_states);
+    EXPECT_EQ(engine.groups().size(),
+              executor == Executor::kMultiGrouped ? 2u : 1u);
+    return engine;
+}
 
 StreamRun run_stream(Executor executor, const std::string& query,
                      const stream::StreamOptions& options,
@@ -299,10 +331,9 @@ StreamRun run_stream(Executor executor, const std::string& query,
         run.delivered = sink.matches().size();
         return run;
     }
-    multi::MultiStreamExecutor fused = multi::MultiStreamExecutor::for_queries(
-        {query}, options,
-        executor == Executor::kMultiLanes ? multi::FusedBackend::kLanes
-                                          : multi::FusedBackend::kProduct);
+    multi::ProductDescendEngine engine =
+        multi_engine(executor, query, options.engine);
+    multi::MultiStreamExecutor fused(std::move(engine), options);
     multi::CollectingMultiStreamSink sink;
     run.result = fused.run(input, sink);
     run.errors = sink.errors();
@@ -451,19 +482,27 @@ TEST(GovernanceStreamTest, AbsoluteErrorPositionIsSpanBeginPlusOffset)
     // The second record is structurally damaged; the stream result must
     // report its span start so span_begin + intra-record offset gives the
     // absolute stream position. The expected status comes from a
-    // sequential run over the isolated record — the stream adds only the
-    // span-begin translation.
+    // sequential run of the executor's engine over the isolated record —
+    // the stream adds only the span-begin translation. (Where the damage
+    // is detected depends on the engine's skips: `$..id` alone head-skips,
+    // the filter set walks the record structurally.)
     std::string first = "{\"id\":0}";
     std::string bad = "{\"id\":]}";
     std::string text = first + "\n" + bad + "\n{\"id\":2}\n";
     PaddedString padded(text);
-    DescendEngine engine = DescendEngine::for_query("$..id");
     PaddedString bad_copy(bad);
-    EngineStatus reference = engine.offsets_checked(bad_copy).status;
-    ASSERT_FALSE(reference.ok());
 
     for (Executor executor : kExecutors) {
         SCOPED_TRACE(executor_name(executor));
+        EngineStatus reference;
+        if (executor == Executor::kSingle) {
+            reference =
+                DescendEngine::for_query("$..id").offsets_checked(bad_copy).status;
+        } else {
+            multi::CollectingMultiSink sink(2);
+            reference = multi_engine(executor, "$..id", {}).run(bad_copy, sink);
+        }
+        ASSERT_FALSE(reference.ok());
         stream::StreamResult result =
             run_stream(executor, "$..id", {}, padded).result;
         ASSERT_EQ(result.failed_records, 1u);

@@ -2,7 +2,7 @@
  * @file
  * The projection subsystem (src/descend/project): span extension against
  * the scalar extraction oracle across SIMD tiers, every sink against
- * DOM-oracle extraction across fused backends, the NDJSON record-boundary
+ * DOM-oracle extraction, fused runs included, the NDJSON record-boundary
  * contract, the LazyValue invariants of lazy_value.h, and the serve
  * protocol's projected-values body (round-trip, truncation, admission).
  */
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "descend/descend.h"
-#include "descend/multi/fused.h"
+#include "descend/multi/product_engine.h"
 #include "descend/serve/dispatch.h"
 #include "descend/serve/protocol.h"
 #include "descend/serve/query_cache.h"
@@ -149,7 +149,7 @@ TEST(SpanExtension, FeedsProjectionCounters)
 }
 
 // ---------------------------------------------------------------------------
-// Sinks: engine runs against DOM-oracle extraction, per tier and backend.
+// Sinks: engine runs against DOM-oracle extraction, per tier.
 // ---------------------------------------------------------------------------
 
 struct SinkCase {
@@ -199,7 +199,7 @@ TEST(ProjectionSinks, SlicesMatchDomExtractionEveryTier)
     }
 }
 
-TEST(ProjectionSinks, FusedBackendsProjectPerQueryMatchingSingleRuns)
+TEST(ProjectionSinks, FusedEngineProjectsPerQueryMatchingSingleRuns)
 {
     const std::string text =
         "{\"items\": [{\"name\": \"a\", \"price\": {\"amount\": 1}},"
@@ -207,26 +207,21 @@ TEST(ProjectionSinks, FusedBackendsProjectPerQueryMatchingSingleRuns)
     PaddedString document(text);
     const std::vector<std::string> queries = {"$..name", "$..amount",
                                               "$.items.*.price"};
-    for (multi::FusedBackend backend :
-         {multi::FusedBackend::kLanes, multi::FusedBackend::kProduct}) {
-        std::unique_ptr<multi::FusedEngine> fused =
-            multi::make_fused_engine(queries, {}, backend);
-        multi::CollectingMultiSink collected(queries.size());
-        ASSERT_TRUE(fused->run(document, collected).ok());
-        SpanExtender extender(document, simd::best_kernels());
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-            const std::vector<std::size_t> expected_offsets =
-                testing::oracle_offsets(queries[q], text);
-            SliceSink slices;
-            project::project_all(extender, collected.offsets(q), slices);
-            const std::vector<std::string_view> expected =
-                extract_values(document, expected_offsets);
-            ASSERT_EQ(slices.slices().size(), expected.size())
-                << queries[q] << " via "
-                << multi::fused_backend_name(backend);
-            for (std::size_t i = 0; i < expected.size(); ++i) {
-                EXPECT_EQ(slices.slices()[i], expected[i]);
-            }
+    const multi::ProductDescendEngine fused(
+        multi::MultiQuery::compile(queries));
+    multi::CollectingMultiSink collected(queries.size());
+    ASSERT_TRUE(fused.run(document, collected).ok());
+    SpanExtender extender(document, simd::best_kernels());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        const std::vector<std::size_t> expected_offsets =
+            testing::oracle_offsets(queries[q], text);
+        SliceSink slices;
+        project::project_all(extender, collected.offsets(q), slices);
+        const std::vector<std::string_view> expected =
+            extract_values(document, expected_offsets);
+        ASSERT_EQ(slices.slices().size(), expected.size()) << queries[q];
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(slices.slices()[i], expected[i]);
         }
     }
 }

@@ -26,7 +26,6 @@
 
 #include "descend/descend.h"
 #include "descend/engine/scratch.h"
-#include "descend/multi/multi_engine.h"
 #include "descend/serve/dispatch.h"
 #include "descend/serve/protocol.h"
 #include "descend/serve/query_cache.h"

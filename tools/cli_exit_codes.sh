@@ -25,6 +25,7 @@ check() {
 
 printf '{"a": {"b": 1}}' > "$WORK/ok.json"
 printf '{"a": {"b": 1}' > "$WORK/truncated.json"
+printf '{"a": [{"b": 1}, {"c": 2}, {"b": 3}], "b": 4}' > "$WORK/filter.json"
 python3 -c "print('['*2000 + ']'*2000)" > "$WORK/deep.json" 2>/dev/null \
     || { printf '%0.s[' $(seq 2000); printf '%0.s]' $(seq 2000); } > "$WORK/deep.json"
 printf '{"id":1}\n{"id":2}\n' > "$WORK/stream.ndjson"
@@ -59,10 +60,21 @@ check 2 "non-final filter"            "$CLI" '$.a[?(@.x)].y' "$WORK/ok.json"
 check 2 "malformed filter literal"    "$CLI" '$[?(@.x==01)]' "$WORK/ok.json"
 check 2 "single-equals filter"        "$CLI" '$[?(@.x=1)]' "$WORK/ok.json"
 
-# 4: the product backend refuses filter selectors; a pinned --fused=product
-# multi-query run must fail as a limit, while auto falls back to lanes.
-check 4 "filter pinned to product"    "$CLI" --fused=product --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/ok.json"
+# 0: a filter query runs inside a fused set; --fused is deprecated and
+# ignored, so pinning a backend changes nothing. The fused count of the
+# filter query equals the single engine's count.
+check 0 "filter with --fused=product" "$CLI" --fused=product --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/filter.json"
 check 0 "filter under fused auto"     "$CLI" --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/ok.json"
+check 2 "unknown fused backend"       "$CLI" --fused=bogus --count --query '$.a' --query '$..b' "$WORK/ok.json"
+single="$("$CLI" --count '$.a[?(@.b)]' "$WORK/filter.json" 2>/dev/null)"
+fused="$("$CLI" --fused=product --count --query '$.a[?(@.b)]' --query '$..b' \
+    "$WORK/filter.json" 2>/dev/null | sed -n 's/^query 0: //p')"
+if [ -n "$single" ] && [ "$single" = "$fused" ]; then
+    echo "ok: fused filter count $fused == single-engine count"
+else
+    echo "FAIL: fused filter count '$fused' != single-engine count '$single'" >&2
+    fail=1
+fi
 
 # 3: malformed input.
 check 3 "truncated document"          "$CLI" '$..b' "$WORK/truncated.json"

@@ -26,16 +26,15 @@
  *   --engine NAME      descend (default) | surfer | ski | dom
  *   --query Q          add a query to the set (repeatable). With more than
  *                      one query the descend engine evaluates the whole set
- *                      in one fused pass (one block classification, N
- *                      automata); matches print as "query Q: value"
+ *                      in one fused pass (one block classification, one
+ *                      product automaton); matches print as "query Q: value"
  *   --queries FILE     add every query listed in FILE (one per line; blank
  *                      lines and lines starting with '#' are skipped)
- *   --fused MODE       multi-query backend: auto (default) | lanes |
- *                      product. `product` compiles the whole set into ONE
- *                      product automaton (O(1) automaton work per event;
- *                      scales to 1k+ queries) and fails when the set
- *                      exceeds the state cap; `lanes` simulates per-query
- *                      lanes; `auto` prefers product and falls back
+ *   --fused MODE       deprecated and ignored (auto | lanes | product):
+ *                      every set compiles into one product automaton (O(1)
+ *                      automaton work per event; scales to 1k+ queries),
+ *                      or into sequential groups when it exceeds the
+ *                      state cap; an unknown MODE is still a usage error
  *   --simd LEVEL       kernel tier: scalar | avx2 | avx512 (default: best
  *                      supported; unavailable tiers fall back). Also
  *                      settable via the DESCEND_SIMD_LEVEL env var, which
@@ -92,6 +91,7 @@
 #include "descend/baselines/surfer_engine.h"
 #include "descend/descend.h"
 #include "descend/json/dom.h"
+#include "descend/multi/fused.h"
 #include "descend/multi/multi_stream.h"
 
 namespace {
@@ -115,7 +115,6 @@ struct CliOptions {
     std::uint64_t stream_budget_ms = 0;  // 0 = none
     std::size_t threads = 0;  // 0 = hardware concurrency
     std::size_t limit = 0;    // 0 = unlimited
-    multi::FusedBackend fused = multi::FusedBackend::kAuto;
     project::ProjectionMode project = project::ProjectionMode::kNone;
     EngineOptions engine_options;
 };
@@ -128,7 +127,7 @@ void usage()
         "  --count | --offsets | --limit N | --project slices|ndjson|count\n"
         "  --engine descend|surfer|ski|dom   --simd scalar|avx2|avx512 | --scalar\n"
         "  --query Q (repeatable) | --queries FILE   fused multi-query set\n"
-        "  --fused auto|lanes|product   multi-query execution backend\n"
+        "  --fused auto|lanes|product   deprecated, ignored\n"
         "  --no-head-skip | --within-skip | --stats | --validate\n"
         "  --ndjson [--threads N] [--fail-fast | --retry-scalar]\n"
         "  --deadline-ms N | --stream-budget-ms N   run governance\n"
@@ -198,13 +197,14 @@ bool parse_args(int argc, char** argv, CliOptions& options)
             } else {
                 value = arg.c_str() + std::strlen("--fused=");
             }
-            auto backend = multi::parse_fused_backend(value);
-            if (!backend.has_value()) {
+            if (!multi::parse_fused_backend(value)) {
                 std::fprintf(stderr,
                              "descend-cli: unknown fused backend '%s'\n", value);
                 return false;
             }
-            options.fused = *backend;
+            std::fputs("descend-cli: --fused is deprecated and ignored; "
+                       "every query set runs on the product engine\n",
+                       stderr);
         } else if (arg == "--project" || arg.rfind("--project=", 0) == 0) {
             const char* value = nullptr;
             if (arg == "--project") {
@@ -465,10 +465,11 @@ int run_on(const CliOptions& options, const JsonPathEngine& engine,
 
 /**
  * Fused multi-query run over a single document: one classification pass,
- * N automata (see src/descend/multi). Matches print per query in set
- * order; --count prints one per-query count line.
+ * one product automaton (see src/descend/multi). Matches print per query
+ * in set order; --count prints one per-query count line.
  */
-int run_multi(const CliOptions& options, const multi::FusedEngine& engine,
+int run_multi(const CliOptions& options,
+              const multi::ProductDescendEngine& engine,
               const std::string& source_name, const PaddedString& document,
               std::uint64_t compile_ns)
 {
@@ -701,8 +702,8 @@ int run_multi_ndjson(const CliOptions& options, const PaddedString& input)
 {
     stream::StreamOptions stream_options = make_stream_options(options);
     obs::PhaseStopwatch compile_watch;
-    multi::MultiStreamExecutor executor = multi::MultiStreamExecutor::for_queries(
-        options.queries, stream_options, options.fused);
+    multi::MultiStreamExecutor executor =
+        multi::MultiStreamExecutor::for_queries(options.queries, stream_options);
     const std::uint64_t compile_ns = compile_watch.elapsed_ns();
 
     const simd::Kernels& kernels =
@@ -867,11 +868,11 @@ int main(int argc, char** argv)
         obs::PhaseStopwatch compile_watch;
         std::unique_ptr<JsonPathEngine> engine =
             (options.ndjson || multi) ? nullptr : make_engine(options);
-        std::unique_ptr<multi::FusedEngine> multi_engine;
+        std::unique_ptr<multi::ProductDescendEngine> multi_engine;
         if (multi && !options.ndjson) {
-            multi_engine = multi::make_fused_engine(
+            multi_engine = std::make_unique<multi::ProductDescendEngine>(
                 multi::MultiQuery::compile(options.queries),
-                options.engine_options, options.fused);
+                options.engine_options);
         }
         const std::uint64_t compile_ns = compile_watch.elapsed_ns();
         auto dispatch = [&](const std::string& name, const PaddedString& doc) {

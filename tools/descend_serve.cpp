@@ -33,9 +33,9 @@
  *                        result sets truncate at a value boundary and set
  *                        the values-truncated flag (default 64M, 0 = off)
  *   --simd LEVEL         kernel tier: scalar | avx2 | avx512
- *   --fused MODE         multi-query backend: auto | lanes | product
- *                        (default auto: one product automaton per set,
- *                        lanes when a set trips the product state cap)
+ *   --fused MODE         deprecated and ignored (auto | lanes | product):
+ *                        every query set runs on the product engine; an
+ *                        unknown MODE is still a usage error
  *   --within-skip        enable the within-element label skip extension
  *   --help               this text
  *
@@ -221,14 +221,15 @@ int main(int argc, char** argv)
             } else {
                 backend = arg.c_str() + std::strlen("--fused=");
             }
-            auto parsed = multi::parse_fused_backend(backend);
-            if (!parsed) {
+            if (!multi::parse_fused_backend(backend)) {
                 std::fprintf(stderr,
                              "descend-serve: unknown fused backend '%s'\n",
                              backend);
                 return 2;
             }
-            config.policy.fused_backend = *parsed;
+            std::fputs("descend-serve: --fused is deprecated and ignored; "
+                       "every query set runs on the product engine\n",
+                       stderr);
         } else if (arg == "--within-skip") {
             config.policy.engine.label_within_skipping = true;
         } else if (arg == "--help" || arg == "-h") {

@@ -72,19 +72,19 @@
  * grammar — array indices, slices, quoted-label unions, bracket-quoted
  * children and trailing filter predicates. Every streaming configuration
  * at every kernel tier plus the surfer baseline must reproduce the DOM
- * oracle's match set exactly, and the same query sets run through BOTH
- * fused backends against independent per-query runs (filter-carrying sets
- * exercise the product backend's refusal and the lanes fallback).
+ * oracle's match set exactly, and the same query sets run through the
+ * fused engine against independent per-query runs (filter-carrying sets
+ * exercise the product engine's per-query filter gates).
  *
  * --multi N: fused multi-query mode. Random query sets of up to 64
  * subscriptions — corpus-derived bases extended with mutated shared
- * prefixes, verbatim duplicates included — run through BOTH fused
- * backends (the per-query lanes and the set-compiled product automaton,
- * src/descend/multi) against N independent single-query runs on mutated
- * documents, at every kernel tier: identical per-query match sets when
- * every independent run passes, uniformly-rejecting statuses when all
- * fail alike. A set that trips the product state cap skips the product
- * leg, mirroring the kAuto fallback.
+ * prefixes, verbatim duplicates included — run through the set-compiled
+ * product engine (src/descend/multi), once as one automaton and once
+ * forced into sequential product groups by a 16-state cap, against N
+ * independent single-query runs on mutated documents, at every kernel
+ * tier: identical per-query match sets when every independent run passes,
+ * uniformly-rejecting statuses when all fail alike. A set with a query
+ * too large for the 16-state cap alone skips the grouped leg.
  *
  * Exits non-zero on the first disagreement, printing a self-contained
  * reproducer (seed dataset, mutation, document, statuses).
@@ -108,7 +108,6 @@
 #include "descend/engine/scratch.h"
 #include "descend/json/dom.h"
 #include "descend/multi/fused.h"
-#include "descend/multi/multi_engine.h"
 #include "descend/util/errors.h"
 #include "descend/serve/dispatch.h"
 #include "descend/serve/protocol.h"
@@ -456,6 +455,8 @@ struct Stats {
     long still_valid = 0;
     long rejected = 0;
     long per_class[5] = {0, 0, 0, 0, 0};
+    long grouped_runs = 0;     ///< check_multi legs that ran 2+ groups
+    long grouped_skipped = 0;  ///< legs a single query over the cap skipped
 };
 
 int report(const Corpus& corpus, const Mutation& mutation, OracleClass oracle,
@@ -1084,19 +1085,23 @@ int report_multi(const std::string& name, const Mutation& mutation,
     return 1;
 }
 
+/** State cap of check_multi's grouped leg: small enough to split most
+ *  random sets into several product groups. */
+constexpr int kGroupedLegCap = 16;
+
 /**
  * Checks one (possibly mutated) document under one fused query set: per
- * kernel tier and per fused backend (lanes AND product), the fused run
- * must agree with N independent runs — identical per-query match sets
- * when every independent run is ok, identical status class when every
- * independent run fails the same way. Product and lanes are thereby also
- * differentially checked against each other through the shared oracle.
+ * kernel tier, the product engine — as one automaton, and forced into
+ * sequential groups by kGroupedLegCap — must agree with N independent
+ * runs: identical per-query match sets when every independent run is ok,
+ * identical status class when every independent run fails the same way.
  *
  * Detection asymmetry: an independent run in head-skip mode never observes
- * the root element, while the fused pass head-skips only on a label common
- * to EVERY lane — so the fused run may flag trailing content that the
- * independent head-skip runs are documented to miss. That one outcome is
- * tolerated; anything else the lanes did not report is a finding.
+ * the root element, while the fused pass head-skips only on a label its
+ * whole set (or group) waits for — so the fused run may flag trailing
+ * content that the independent head-skip runs are documented to miss.
+ * That one outcome is tolerated; anything else the independent runs did
+ * not report is a finding.
  */
 int check_multi(const std::string& name, const Mutation& mutation,
                 const std::vector<std::string>& queries, bool within_skip,
@@ -1130,20 +1135,28 @@ int check_multi(const std::string& name, const Mutation& mutation,
             all_same = all_same && status == statuses.front();
         }
 
-        for (multi::FusedBackend backend : {multi::FusedBackend::kLanes,
-                                            multi::FusedBackend::kProduct}) {
+        for (bool grouped : {false, true}) {
             std::string configuration =
                 std::string("multi[") + simd::level_name(level) +
-                (within_skip ? "+within" : "") + "," +
-                std::string(multi::fused_backend_name(backend)) + "]";
-            std::unique_ptr<multi::FusedEngine> fused;
+                (within_skip ? "+within" : "") +
+                (grouped ? ",grouped" : "") + "]";
+            std::optional<multi::ProductDescendEngine> fused;
             try {
-                fused = multi::make_fused_engine(
-                    multi::MultiQuery::compile(queries), options, backend);
-            } catch (const LimitError&) {
-                // The product state cap — exactly what kAuto falls back
-                // on; the lanes leg still covers this set.
-                continue;
+                fused.emplace(multi::MultiQuery::compile(queries), options,
+                              grouped ? kGroupedLegCap : 1 << 15);
+            } catch (const LimitError& error) {
+                if (grouped) {
+                    stats.grouped_skipped += 1;  // one query alone > 16
+                    continue;
+                }
+                return report_multi(name, mutation, queries, configuration,
+                                    std::string("a query fits no product "
+                                                "group: ") +
+                                        error.what(),
+                                    mutation.document);
+            }
+            if (fused->groups().size() > 1) {
+                stats.grouped_runs += 1;
             }
             multi::CollectingMultiSink sink(queries.size());
             EngineStatus fused_status = fused->run(padded, sink);
@@ -1175,14 +1188,14 @@ int check_multi(const std::string& name, const Mutation& mutation,
                 }
                 stats.still_valid += 1;
             } else if (all_same) {
-                // Every lane rejects the document. The fused pass must
-                // reject too — but the *offset* (and with it the code
-                // picked among several defects) legitimately depends on
-                // the skip pattern, and both backends walk regions the
+                // Every independent run rejects the document. The fused
+                // pass must reject too — but the *offset* (and with it the
+                // code picked among several defects) legitimately depends
+                // on the skip pattern, and the fused pass walks regions the
                 // single runs fast-forward over, so detection can land
                 // earlier. Only the classification contract is shared:
-                // non-ok, and never a resource limit unless the lanes
-                // reported one.
+                // non-ok, and never a resource limit unless the
+                // independent runs reported one.
                 if (fused_status.ok()) {
                     return report_multi(name, mutation, queries,
                                         configuration,
@@ -1273,7 +1286,7 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
         stats.mutants += 1;
         // A random 2..64-subscription set built from the corpus queries
         // by shared-prefix/suffix mutation — child-wildcard and
-        // descendant lanes mix so skip decisions genuinely disagree, and
+        // descendant queries mix so skip decisions genuinely disagree, and
         // duplicates exercise the dedup path.
         std::vector<std::string> subset = random_query_set(corpus, rng);
         bool within = rng() % 2 == 1;
@@ -1288,10 +1301,10 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
         }
     }
     std::printf("fuzz_engine --multi: %ld mutants over %zu seeds OK\n"
-                "  parity-checked backend-runs: ok %ld, uniformly rejected "
-                "%ld\n",
+                "  parity-checked fused runs: ok %ld, uniformly rejected "
+                "%ld; grouped legs with 2+ groups %ld, skipped %ld\n",
                 stats.mutants, corpora.size(), stats.still_valid,
-                stats.rejected);
+                stats.rejected, stats.grouped_runs, stats.grouped_skipped);
     return 0;
 }
 
@@ -1300,9 +1313,8 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
 // filters) drawn by the random query generator against random well-formed
 // documents. Every streaming configuration at every kernel tier, plus the
 // surfer baseline, must reproduce the DOM oracle's match set exactly; the
-// same query sets also go through check_multi, so both fused backends are
-// covered (a set whose product compilation is refused — filters, state
-// cap — exercises exactly the kAuto lanes fallback).
+// same query sets also go through check_multi, so the fused engine's
+// filter gates and its grouped runs are covered too.
 // ---------------------------------------------------------------------------
 
 int report_selectors(std::uint64_t seed, const std::string& query,
@@ -1394,7 +1406,7 @@ int run_selectors_mode(long iterations, std::uint64_t seed0, bool verbose)
             checked_queries += 1;
         }
 
-        // Both fused backends against independent runs on the same set.
+        // The fused engine against independent runs on the same set.
         Mutation pristine{"none (random selector document)", document};
         if (int rc = check_multi("selectors-" + std::to_string(seed),
                                  pristine, queries, i % 2 == 1, set_stats)) {
@@ -1410,9 +1422,9 @@ int run_selectors_mode(long iterations, std::uint64_t seed0, bool verbose)
     std::printf(
         "fuzz_engine --selectors: %ld iterations OK\n"
         "  single-query runs: %ld (with filters %ld, with counters %ld); "
-        "fused sets: %ld\n",
+        "fused sets: %ld (grouped legs with 2+ groups %ld, skipped %ld)\n",
         iterations, checked_queries, filter_queries, counter_queries,
-        checked_sets);
+        checked_sets, set_stats.grouped_runs, set_stats.grouped_skipped);
     return 0;
 }
 
@@ -1536,10 +1548,11 @@ int run_faults_mode(long iterations, std::uint64_t seed0, bool verbose)
                     corpus.document.size() / simd::kBatchSize + 2;
                 fault::arm(fault::Site::kBatchRefill, pick(rng, refills + 4),
                            static_cast<std::uint64_t>(forced));
-                multi::MultiDescendEngine fused(
-                    multi::MultiQuery::compile(corpus.queries), options);
+                std::unique_ptr<multi::ProductDescendEngine> fused =
+                    multi::make_fused_engine(
+                        multi::MultiQuery::compile(corpus.queries), options);
                 multi::CollectingMultiSink sink(corpus.queries.size());
-                EngineStatus status = fused.run(padded, sink);
+                EngineStatus status = fused->run(padded, sink);
                 bool fired = fault::fired_count(fault::Site::kBatchRefill) > 0;
                 std::string configuration = "multi[" + describe(options) + "]";
                 if (fired) {
