@@ -6,6 +6,11 @@ namespace descend::project {
 
 void append_compact_value(std::string_view value, std::string& out)
 {
+    if (value.empty() || (value.front() != '{' && value.front() != '[')) {
+        // A string or atom span holds no whitespace outside a string.
+        out.append(value);
+        return;
+    }
     bool in_string = false;
     bool escape = false;
     std::size_t run_begin = 0;  // start of the current verbatim run

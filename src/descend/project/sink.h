@@ -110,8 +110,10 @@ private:
 
 /**
  * Appends @p value to @p out with insignificant whitespace removed
- * (NdjsonSink's per-value transform, exposed for tests and the serve
- * payload builder). String bytes are copied verbatim, escapes included.
+ * (NdjsonSink's per-value transform, exposed for tests and the CLI's
+ * printer). String bytes are copied verbatim, escapes included. @p value
+ * is one value's span as extended (span.h): a string or atom is copied
+ * whole, since its span holds no whitespace outside a string.
  */
 void append_compact_value(std::string_view value, std::string& out);
 

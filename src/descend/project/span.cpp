@@ -3,6 +3,7 @@
 #include "descend/classify/block_batch.h"
 #include "descend/classify/depth_classifier.h"
 #include "descend/classify/quote_classifier.h"
+#include "descend/classify/raw_tables.h"
 #include "descend/engine/extract.h"
 #include "descend/util/bits.h"
 #include "descend/util/chars.h"
@@ -42,6 +43,26 @@ std::uint64_t string_carry(std::uint64_t in_string_mask) noexcept
  */
 constexpr int kLeanBlocks = 6;
 
+/**
+ * The stop bytes of the short-value fast path, one §4.1 nibble-lookup
+ * classifier each: inside a string the first quote or backslash after the
+ * opener decides, an atom ends at its first delimiter. Most matched
+ * strings and atoms close within 64 bytes, so one classification of the
+ * block AT the offset delimits them.
+ */
+struct ShortValueStops {
+    classify::RawClassifier string_stops =
+        classify::RawClassifier::build(classify::byte_set({'"', '\\'}));
+    classify::RawClassifier atom_stops = classify::RawClassifier::build(
+        classify::byte_set({',', '}', ']', ' ', '\t', '\n', '\r'}));
+};
+
+const ShortValueStops& short_value_stops()
+{
+    static const ShortValueStops stops;
+    return stops;
+}
+
 }  // namespace
 
 ValueSpan SpanExtender::extend(std::size_t offset) noexcept
@@ -55,15 +76,34 @@ ValueSpan SpanExtender::extend(std::size_t offset) noexcept
     std::size_t end;
     if (first == '{' || first == '[') {
         end = extend_container(offset);
-    } else if (first == '"') {
-        end = extend_string(offset);
     } else {
-        // Atoms (numbers, literals) end at the next delimiter; they are
-        // short by construction, so a bytewise scan is already optimal.
-        end = offset;
-        while (end < size && !is_ws_byte(data[end]) && data[end] != ',' &&
-               data[end] != '}' && data[end] != ']') {
-            ++end;
+        // One classification of the 64 bytes at the offset. The padding
+        // past the view is readable but may hold the next record, so every
+        // bit at or past size() is cut.
+        const ShortValueStops& stops = short_value_stops();
+        const std::uint64_t valid = valid_bits(offset, size);
+        if (first == '"') {
+            // Bit 0 is the opener. A quote before any backslash closes the
+            // string; a backslash first (or no stop at all) takes the walk.
+            const std::uint64_t hits =
+                stops.string_stops.run(*kernels_, data + offset) & valid &
+                ~std::uint64_t{1};
+            const std::size_t hit =
+                offset + static_cast<std::size_t>(bits::trailing_zeros(hits));
+            end = hits != 0 && data[hit] == '"' ? hit + 1 : extend_string(offset);
+        } else {
+            const std::uint64_t hits =
+                stops.atom_stops.run(*kernels_, data + offset) & valid;
+            if (hits != 0) {
+                end = offset + static_cast<std::size_t>(bits::trailing_zeros(hits));
+            } else {
+                // Atoms (numbers, literals) end at the next delimiter.
+                end = offset;
+                while (end < size && !is_ws_byte(data[end]) && data[end] != ',' &&
+                       data[end] != '}' && data[end] != ']') {
+                    ++end;
+                }
+            }
         }
     }
     obs::add(counters_, obs::Counter::kProjectedValues);

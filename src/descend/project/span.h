@@ -10,8 +10,11 @@
  * quoted literal for strings, the literal up to the next delimiter for
  * atoms.
  *
- * SpanExtender is the batched fast path, in three stages (DESIGN.md
- * §4.11): (1) masked SIMD recovery of the first block — the state at the
+ * SpanExtender is the batched fast path (DESIGN.md §4.11). A string or
+ * atom first takes one nibble-lookup classification of the 64 bytes at
+ * the offset, cut at the view's end, which delimits most short values.
+ * Containers, and strings that mask cannot close, take three stages:
+ * (1) masked SIMD recovery of the first block — the state at the
  * offset is known exactly, so one cold-seeded classification plus a
  * re-seeded prefix-XOR yields exact masks with no bytewise prologue;
  * (2) a lean per-block walk classifying only the blocks the value

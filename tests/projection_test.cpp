@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "descend/descend.h"
@@ -149,6 +150,112 @@ TEST(SpanExtension, FeedsProjectionCounters)
 }
 
 // ---------------------------------------------------------------------------
+// Short-value fast path: one classification of the 64 bytes at the offset
+// delimits most strings and atoms; the rest take the walk. Every case is
+// checked against the scalar oracle on every tier.
+// ---------------------------------------------------------------------------
+
+/** Expects every tier's extension of @p offset over @p view to equal the
+ *  scalar oracle's. */
+void expect_oracle_span(PaddedView view, std::size_t offset,
+                        const std::string& what)
+{
+    const ValueSpan expected = project::extend_value_span(view, offset);
+    for (simd::Level level : kTiers) {
+        SpanExtender extender(view, simd::kernels_for(level));
+        EXPECT_EQ(extender.extend(offset), expected)
+            << what << " offset " << offset << " tier "
+            << simd::level_name(level);
+    }
+}
+
+/** "[" + @p pad spaces + @p items + "]": the first item starts at 1 + pad. */
+std::string array_with(std::size_t pad, const std::string& items)
+{
+    std::string text(1 + pad, ' ');
+    text.front() = '[';
+    text += items;
+    text += ']';
+    return text;
+}
+
+TEST(ShortValues, TerminatorAtTheEdgeOfTheClassifiedBlock)
+{
+    // The closing quote / delimiter sits 62, 63 or 64 bytes past the
+    // offset (the last two bits of the block, then the first byte past
+    // it), or beyond the first 64 bytes; at several block alignments.
+    for (std::size_t distance : {1, 2, 62, 63, 64, 65, 100, 200}) {
+        for (std::size_t pad : {0, 1, 2, 31, 62, 63, 64}) {
+            std::string string_value(distance + 1, 's');
+            string_value.front() = string_value.back() = '"';
+            const std::string atom_value(distance, '7');
+            for (const std::string& value : {string_value, atom_value}) {
+                for (const char* after : {",", "]", " ", "\n"}) {
+                    const std::string text =
+                        array_with(pad, value + after + " 1");
+                    PaddedString document(text);
+                    expect_oracle_span(document, 1 + pad,
+                                       "distance " + std::to_string(distance) +
+                                           " doc: " + text);
+                }
+            }
+        }
+    }
+}
+
+TEST(ShortValues, BackslashBeforeTheClosingQuoteTakesTheWalk)
+{
+    for (const std::string& value :
+         {std::string("\"\\\\\""),         // "\\"
+          std::string("\"\\\"\""),          // "\""
+          std::string("\"a\\\"b\" , \"c\""),  // "a\"b"
+          std::string("\"ab\\\\\\\"c\""),   // "ab\\\"c"
+          std::string("\"\\u0041\"")}) {      // "\u0041"
+        for (std::size_t pad : {0, 60, 61, 62, 63}) {
+            const std::string text = array_with(pad, value + ", \"after\"");
+            PaddedString document(text);
+            expect_oracle_span(document, 1 + pad, "doc: " + text);
+        }
+    }
+}
+
+TEST(ShortValues, AtomEndingExactlyAtTheViewEnd)
+{
+    for (const std::string& text :
+         {std::string("7"), std::string("true"), std::string("-12.5e3"),
+          std::string(63, '9'), std::string(64, '9'), std::string(65, '9'),
+          std::string("\"closed\""), std::string("\"open")}) {
+        PaddedString document(text);
+        expect_oracle_span(document, 0, "doc: " + text);
+    }
+}
+
+TEST(ShortValues, MaskCutsTheFollowingRecord)
+{
+    // The view ends inside the value; the bytes right past it hold a
+    // delimiter or a quote that would end the value if they leaked in.
+    const std::string text =
+        "{\"a\": 12345}{\"b\": 6}\n"
+        "{\"a\": \"unterminated\"}, \"x\"\n";
+    PaddedString stream_input(text);
+    // "12345" cut after "123": the "45}" and the next record lie past it.
+    const std::size_t atom = text.find("12345");
+    expect_oracle_span(PaddedView(stream_input).subview(0, atom + 3), atom,
+                       "atom cut before its end");
+    // A record whose string never closes, followed by a record whose
+    // quotes and commas fall inside the 64 classified bytes.
+    const std::size_t record = text.find("{\"a\": \"unt");
+    const std::size_t string_begin = text.find("\"unterminated");
+    const PaddedView cut = PaddedView(stream_input)
+                               .subview(record, string_begin + 5 - record);
+    expect_oracle_span(cut, string_begin - record, "string cut mid-way");
+    for (simd::Level level : kTiers) {
+        SpanExtender extender(cut, simd::kernels_for(level));
+        EXPECT_EQ(extender.extend(string_begin - record).end, cut.size());
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Sinks: engine runs against DOM-oracle extraction, per tier.
 // ---------------------------------------------------------------------------
 
@@ -237,6 +344,21 @@ TEST(ProjectionSinks, NdjsonCompactsOutsideStringsOnly)
     out.clear();
     project::append_compact_value("{\n  \"k\": \"\"\n}", out);
     EXPECT_EQ(out, "{\"k\":\"\"}");
+    // Strings and atoms are copied whole; containers are compacted.
+    const std::pair<std::string, std::string> cases[] = {
+        {"-12.5e3", "-12.5e3"},
+        {"true", "true"},
+        {"\"a b\"", "\"a b\""},
+        {"\"\\\"  \\\\\"", "\"\\\"  \\\\\""},
+        {"[ ]", "[]"},
+        {"[\t1,\r\n\"a b\" ]", "[1,\"a b\"]"},
+        {"", ""},
+    };
+    for (const auto& [value, expected] : cases) {
+        out.assign("prefix:");
+        project::append_compact_value(value, out);
+        EXPECT_EQ(out, "prefix:" + expected) << value;
+    }
 }
 
 TEST(ProjectionSinks, NdjsonEmitsOneLinePerValue)

@@ -75,6 +75,7 @@
  *   4  resource limit or governance stop (deadline / cancellation)
  *   5  file I/O error
  */
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -82,8 +83,10 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "descend/baselines/dom_engine.h"
@@ -294,63 +297,157 @@ int exit_code_for(const EngineStatus& status)
 }
 
 /**
- * Prints projected values for one document view per --project mode:
- * slices verbatim (with the caller's line label), ndjson as bare compact
- * lines, count as a trailing totals line. Tallies feed the caller's obs
- * registry through the extender.
+ * Buffered stdout: every byte a run prints is appended here and written
+ * with one fwrite per 64 KiB, then by flush() at the end of the run, so
+ * lines stay in the order they were appended.
  */
-struct ProjectionPrinter {
-    const CliOptions& options;
-    project::SpanExtender extender;
-    std::size_t shown = 0;
-    std::size_t suppressed = 0;
-    std::size_t values = 0;
-    std::size_t bytes = 0;
-    std::string scratch;
+class OutputWriter {
+public:
+    static constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
 
-    ProjectionPrinter(const CliOptions& options, PaddedView view,
-                      const simd::Kernels& kernels, obs::Counters* counters)
-        : options(options), extender(view, kernels, counters)
+    OutputWriter() { buffer_.reserve(kFlushBytes); }
+    OutputWriter(const OutputWriter&) = delete;
+    OutputWriter& operator=(const OutputWriter&) = delete;
+
+    /** The buffer, for appending a line in place. */
+    std::string& buffer() noexcept { return buffer_; }
+
+    void append(std::string_view bytes) { buffer_.append(bytes); }
+
+    void append(std::size_t number)
+    {
+        char digits[24];
+        const std::to_chars_result result =
+            std::to_chars(digits, digits + sizeof digits, number);
+        buffer_.append(digits, result.ptr);
+    }
+
+    void end_line()
+    {
+        buffer_.push_back('\n');
+        if (buffer_.size() >= kFlushBytes) {
+            flush();
+        }
+    }
+
+    void flush()
+    {
+        std::fwrite(buffer_.data(), 1, buffer_.size(), stdout);
+        buffer_.clear();
+    }
+
+private:
+    std::string buffer_;
+};
+
+/**
+ * Prints the matches of one view (a document or an NDJSON record) as they
+ * arrive, one line each, through the OutputWriter: byte offsets
+ * (--offsets), raw values (the default), or a --project mode. Every line
+ * but an ndjson one starts with the current label ("file: ", "query Q: ",
+ * "record R: "...). Under --count it only counts. The projection modes
+ * extend each offset with one SpanExtender per view, whose tallies feed
+ * counters().
+ */
+class MatchPrinter final : public MatchSink {
+public:
+    MatchPrinter(const CliOptions& options, OutputWriter& out)
+        : options_(options),
+          out_(out),
+          kernels_(simd::kernels_for(options.engine_options.simd))
     {
     }
 
-    /** One match at @p offset (relative to the view); @p label prefixes
-     *  slice lines ("query 0: " etc.), never ndjson lines. */
-    void print(std::size_t offset, const char* label)
+    /** Extends and extracts later matches over @p view. */
+    void bind(PaddedView view)
     {
-        const project::ValueSpan span = extender.extend(offset);
-        ++values;
-        bytes += span.size();
-        if (options.project == project::ProjectionMode::kCount) {
+        view_ = view;
+        if (options_.project != project::ProjectionMode::kNone) {
+            extender_.emplace(view, kernels_, &counters_);
+        }
+    }
+
+    void set_label(std::string_view label) { label_.assign(label); }
+
+    void on_match(std::size_t offset) override
+    {
+        ++matches_;
+        if (options_.count_only) {
             return;
         }
-        if (options.limit != 0 && shown >= options.limit) {
-            ++suppressed;
+        project::ValueSpan span;
+        if (extender_) {
+            span = extender_->extend(offset);
+            bytes_ += span.size();
+            if (options_.project == project::ProjectionMode::kCount) {
+                return;
+            }
+        }
+        if (options_.limit != 0 && shown_ >= options_.limit) {
+            ++suppressed_;
             return;
         }
-        ++shown;
-        const std::string_view slice = extender.slice(span);
-        if (options.project == project::ProjectionMode::kNdjson) {
-            scratch.clear();
-            project::append_compact_value(slice, scratch);
-            scratch.push_back('\n');
-            std::fwrite(scratch.data(), 1, scratch.size(), stdout);
+        ++shown_;
+        if (options_.project == project::ProjectionMode::kNdjson) {
+            project::append_compact_value(extender_->slice(span), out_.buffer());
         } else {
-            std::printf("%s%.*s\n", label, static_cast<int>(slice.size()),
-                        slice.data());
+            out_.append(label_);
+            if (options_.offsets_only) {
+                out_.append(offset);
+            } else if (extender_) {
+                out_.append(extender_->slice(span));
+            } else {
+                out_.append(extract_value(view_, offset));
+            }
+        }
+        out_.end_line();
+    }
+
+    /** Trailing lines, with the current label: the --limit elision, the
+     *  --count total and the count-mode totals. */
+    void finish()
+    {
+        if (suppressed_ != 0) {
+            trailing_line("... (", suppressed_, " more)");
+        }
+        if (options_.count_only) {
+            trailing_line("", matches_, "");
+        }
+        if (options_.project == project::ProjectionMode::kCount) {
+            out_.append(label_);
+            out_.append("values=");
+            out_.append(matches_);
+            out_.append(" bytes=");
+            out_.append(bytes_);
+            out_.end_line();
         }
     }
 
-    /** Trailing lines: the elision marker and the count-mode totals. */
-    void finish(const char* label)
+    std::size_t matches() const noexcept { return matches_; }
+    const obs::Counters& counters() const noexcept { return counters_; }
+
+private:
+    void trailing_line(std::string_view before, std::size_t number,
+                       std::string_view after)
     {
-        if (suppressed != 0) {
-            std::printf("%s... (%zu more)\n", label, suppressed);
-        }
-        if (options.project == project::ProjectionMode::kCount) {
-            std::printf("%svalues=%zu bytes=%zu\n", label, values, bytes);
-        }
+        out_.append(label_);
+        out_.append(before);
+        out_.append(number);
+        out_.append(after);
+        out_.end_line();
     }
+
+    const CliOptions& options_;
+    OutputWriter& out_;
+    const simd::Kernels& kernels_;
+    PaddedView view_;
+    std::optional<project::SpanExtender> extender_;
+    obs::Counters counters_;
+    std::string label_;
+    std::size_t matches_ = 0;
+    std::size_t bytes_ = 0;
+    std::size_t shown_ = 0;
+    std::size_t suppressed_ = 0;
 };
 
 std::unique_ptr<JsonPathEngine> make_engine(const CliOptions& options)
@@ -386,79 +483,83 @@ PaddedString read_stdin()
     return PaddedString(buffer.str());
 }
 
-int run_on(const CliOptions& options, const JsonPathEngine& engine,
-           const std::string& source_name, const PaddedString& document,
-           std::uint64_t compile_ns)
+/** The line label of a single-document run: "file: " when several files
+ *  are queried, else empty. */
+std::string file_label(const CliOptions& options, const std::string& source_name)
+{
+    return options.files.size() > 1 ? source_name + ": " : std::string();
+}
+
+void validate_document(const CliOptions& options, const PaddedString& document)
 {
     if (options.validate) {
         json::ParseOptions parse_options;
         parse_options.max_depth = 1 << 16;
         json::parse(document.view(), parse_options);  // throws on bad input
     }
-    const char* prefix = options.files.size() > 1 ? source_name.c_str() : "";
-    const char* separator = options.files.size() > 1 ? ": " : "";
+}
+
+int report_failure(const std::string& label, const EngineStatus& status)
+{
+    std::fprintf(stderr, "descend-cli: %s%s\n", label.c_str(),
+                 to_string(status).c_str());
+    return exit_code_for(status);
+}
+
+void print_run_report(std::string engine, const PaddedString& document,
+                      std::size_t matches, RunStats stats,
+                      std::uint64_t compile_ns)
+{
+    obs::RunReport report;
+    report.engine = std::move(engine);
+    report.document_bytes = document.size();
+    report.matches = matches;
+    report.stats = std::move(stats);
+    report.stats.timings.add(obs::Phase::kCompile, compile_ns);
+    std::fprintf(stderr, "%s\n", obs::to_json(report).c_str());
+}
+
+/**
+ * One document, one query: the engine reports each match straight into
+ * the printer, which extends and writes it, so no offset list is held.
+ * A failed run leaves the lines of the matches reported before the
+ * failure on stdout, and no trailing lines.
+ */
+int run_on(const CliOptions& options, const JsonPathEngine& engine,
+           const std::string& source_name, const PaddedString& document,
+           std::uint64_t compile_ns, OutputWriter& out)
+{
+    validate_document(options, document);
+    const std::string label = file_label(options, source_name);
 
     if (options.count_only && !options.stats) {
         CountSink count_sink;
         EngineStatus count_status = engine.run(document, count_sink);
         if (!count_status.ok()) {
-            std::fprintf(stderr, "descend-cli: %s%s%s\n", prefix, separator,
-                         to_string(count_status).c_str());
-            return exit_code_for(count_status);
+            return report_failure(label, count_status);
         }
-        std::printf("%s%s%zu\n", prefix, separator, count_sink.count());
+        out.append(label);
+        out.append(count_sink.count());
+        out.end_line();
         return 0;
     }
-    OffsetSink sink;
+    MatchPrinter printer(options, out);
+    printer.bind(document);
+    printer.set_label(label);
     RunStats stats;
     if (const auto* descend_engine = dynamic_cast<const DescendEngine*>(&engine)) {
-        stats = descend_engine->run_with_stats(document, sink);
+        stats = descend_engine->run_with_stats(document, printer);
     } else {
-        stats.status = engine.run(document, sink);
+        stats.status = engine.run(document, printer);
     }
     if (!stats.status.ok()) {
-        std::fprintf(stderr, "descend-cli: %s%s%s\n", prefix, separator,
-                     to_string(stats.status).c_str());
-        return exit_code_for(stats.status);
+        return report_failure(label, stats.status);
     }
-    if (options.count_only) {
-        std::printf("%s%s%zu\n", prefix, separator, sink.offsets().size());
-    } else if (options.project != project::ProjectionMode::kNone) {
-        obs::ScopedPhaseTimer extract_timer(&stats.timings, obs::Phase::kExtract);
-        const simd::Kernels& kernels =
-            simd::kernels_for(options.engine_options.simd);
-        ProjectionPrinter printer(options, document, kernels, &stats.counters);
-        const std::string label = std::string(prefix) + separator;
-        for (std::size_t offset : sink.offsets()) {
-            printer.print(offset, label.c_str());
-        }
-        printer.finish(label.c_str());
-    } else {
-        obs::ScopedPhaseTimer extract_timer(&stats.timings, obs::Phase::kExtract);
-        std::size_t shown = 0;
-        for (std::size_t offset : sink.offsets()) {
-            if (options.limit != 0 && ++shown > options.limit) {
-                std::printf("%s%s... (%zu more)\n", prefix, separator,
-                            sink.offsets().size() - options.limit);
-                break;
-            }
-            if (options.offsets_only) {
-                std::printf("%s%s%zu\n", prefix, separator, offset);
-            } else {
-                std::string_view value = extract_value(document, offset);
-                std::printf("%s%s%.*s\n", prefix, separator,
-                            static_cast<int>(value.size()), value.data());
-            }
-        }
-    }
+    printer.finish();
     if (options.stats) {
-        obs::RunReport report;
-        report.engine = engine.name();
-        report.document_bytes = document.size();
-        report.matches = sink.offsets().size();
-        report.stats = stats;
-        report.stats.timings.add(obs::Phase::kCompile, compile_ns);
-        std::fprintf(stderr, "%s\n", obs::to_json(report).c_str());
+        stats.counters.merge(printer.counters());
+        print_run_report(engine.name(), document, printer.matches(),
+                         std::move(stats), compile_ns);
     }
     return 0;
 }
@@ -466,77 +567,39 @@ int run_on(const CliOptions& options, const JsonPathEngine& engine,
 /**
  * Fused multi-query run over a single document: one classification pass,
  * one product automaton (see src/descend/multi). Matches print per query
- * in set order; --count prints one per-query count line.
+ * in set order, so they are collected first; --count prints one
+ * per-query count line.
  */
 int run_multi(const CliOptions& options,
               const multi::ProductDescendEngine& engine,
               const std::string& source_name, const PaddedString& document,
-              std::uint64_t compile_ns)
+              std::uint64_t compile_ns, OutputWriter& out)
 {
-    if (options.validate) {
-        json::ParseOptions parse_options;
-        parse_options.max_depth = 1 << 16;
-        json::parse(document.view(), parse_options);  // throws on bad input
-    }
-    const char* prefix = options.files.size() > 1 ? source_name.c_str() : "";
-    const char* separator = options.files.size() > 1 ? ": " : "";
+    validate_document(options, document);
+    const std::string label = file_label(options, source_name);
 
     multi::CollectingMultiSink sink(engine.query_set().size());
     RunStats stats = engine.run_with_stats(document, sink);
     if (!stats.status.ok()) {
-        std::fprintf(stderr, "descend-cli: %s%s%s\n", prefix, separator,
-                     to_string(stats.status).c_str());
-        return exit_code_for(stats.status);
+        return report_failure(label, stats.status);
     }
     std::size_t matches = 0;
     for (std::size_t q = 0; q < engine.query_set().size(); ++q) {
-        const std::vector<std::size_t>& offsets = sink.offsets(q);
-        matches += offsets.size();
-        if (options.count_only) {
-            std::printf("%s%squery %zu: %zu\n", prefix, separator, q,
-                        offsets.size());
-            continue;
+        // Each query prints, elides and totals on its own, in set order
+        // (document order within a query).
+        MatchPrinter printer(options, out);
+        printer.bind(document);
+        printer.set_label(label + "query " + std::to_string(q) + ": ");
+        for (std::size_t offset : sink.offsets(q)) {
+            printer.on_match(offset);
         }
-        if (options.project != project::ProjectionMode::kNone) {
-            // Per-owner fanout: each query's matches project independently,
-            // in set order (document order within a query).
-            const simd::Kernels& kernels =
-                simd::kernels_for(options.engine_options.simd);
-            ProjectionPrinter printer(options, document, kernels,
-                                      &stats.counters);
-            const std::string label = std::string(prefix) + separator +
-                                      "query " + std::to_string(q) + ": ";
-            for (std::size_t offset : offsets) {
-                printer.print(offset, label.c_str());
-            }
-            printer.finish(label.c_str());
-            continue;
-        }
-        std::size_t shown = 0;
-        for (std::size_t offset : offsets) {
-            if (options.limit != 0 && ++shown > options.limit) {
-                std::printf("%s%squery %zu: ... (%zu more)\n", prefix,
-                            separator, q, offsets.size() - options.limit);
-                break;
-            }
-            if (options.offsets_only) {
-                std::printf("%s%squery %zu: %zu\n", prefix, separator, q,
-                            offset);
-            } else {
-                std::string_view value = extract_value(document, offset);
-                std::printf("%s%squery %zu: %.*s\n", prefix, separator, q,
-                            static_cast<int>(value.size()), value.data());
-            }
-        }
+        printer.finish();
+        matches += printer.matches();
+        stats.counters.merge(printer.counters());
     }
     if (options.stats) {
-        obs::RunReport report;
-        report.engine = engine.name();
-        report.document_bytes = document.size();
-        report.matches = matches;
-        report.stats = stats;
-        report.stats.timings.add(obs::Phase::kCompile, compile_ns);
-        std::fprintf(stderr, "%s\n", obs::to_json(report).c_str());
+        print_run_report(engine.name(), document, matches, std::move(stats),
+                         compile_ns);
     }
     return 0;
 }
@@ -561,127 +624,97 @@ stream::StreamOptions make_stream_options(const CliOptions& options)
 }
 
 /**
- * NDJSON: SIMD record splitting + parallel sharded execution over the one
- * padded input buffer (see src/descend/stream). Matches arrive through the
- * stream sink in document order regardless of the thread count.
+ * Feeds the replayed matches of a record stream (single query or fused
+ * set) to one MatchPrinter, labelled "record R: " or "query Q record R: ".
+ * Offsets are intra-record, so the printer is bound to each record's
+ * SUBVIEW: extraction and span extension can never cross into the
+ * following record's slice (the record-boundary contract, span.h).
+ * Matches arrive in record order, so each record binds once.
  */
-int run_ndjson(const CliOptions& options, const PaddedString& input)
-{
-    stream::StreamOptions stream_options = make_stream_options(options);
-    obs::PhaseStopwatch compile_watch;
-    stream::StreamExecutor executor(
-        automaton::CompiledQuery::compile(options.queries.front()),
-        stream_options);
-    const std::uint64_t compile_ns = compile_watch.elapsed_ns();
+class RecordPrinter final : public stream::StreamSink,
+                            public multi::MultiStreamSink {
+public:
+    RecordPrinter(MatchPrinter& printer, const CliOptions& options,
+                  const PaddedString& input,
+                  const std::vector<stream::RecordSpan>& records)
+        : printer_(printer), options_(options), input_(input), records_(records)
+    {
+    }
 
-    const simd::Kernels& kernels =
-        simd::kernels_for(options.engine_options.simd);
+    void on_match(std::size_t record, std::size_t offset) override
+    {
+        on_match(kNoQuery, record, offset);
+    }
+
+    void on_match(std::size_t query, std::size_t record,
+                  std::size_t offset) override
+    {
+        if (!options_.count_only && (record != record_ || query != query_)) {
+            if (record != record_) {
+                const stream::RecordSpan& span = records_[record];
+                printer_.bind(
+                    PaddedView(input_).subview(span.begin, span.end - span.begin));
+            }
+            record_ = record;
+            query_ = query;
+            label_.clear();
+            if (query != kNoQuery) {
+                label_ += "query " + std::to_string(query) + " ";
+            }
+            label_ += "record " + std::to_string(record) + ": ";
+            printer_.set_label(label_);
+        }
+        printer_.on_match(offset);
+    }
+
+    void on_record_error(std::size_t record,
+                         const EngineStatus& status) override
+    {
+        // Absolute stream position: span begin + intra-record offset,
+        // so the byte can be seeked to directly in the input file.
+        std::fprintf(stderr, "descend-cli: record %zu at byte %zu: %s\n",
+                     record, records_[record].begin + status.offset,
+                     to_string(status).c_str());
+    }
+
+private:
+    static constexpr std::size_t kNoQuery = static_cast<std::size_t>(-1);
+
+    MatchPrinter& printer_;
+    const CliOptions& options_;
+    const PaddedString& input_;
+    const std::vector<stream::RecordSpan>& records_;
+    std::size_t record_ = kNoQuery;
+    std::size_t query_ = kNoQuery;
+    std::string label_;
+};
+
+/**
+ * NDJSON: SIMD record splitting + parallel sharded execution over the one
+ * padded input buffer (see src/descend/stream), one query or a fused set
+ * (N queries x M records off one splitter pass). Matches arrive in
+ * document order regardless of the thread count; the trailing lines carry
+ * no label.
+ */
+template <typename Executor>
+int run_stream(const CliOptions& options, const Executor& executor,
+               std::string engine_name, std::uint64_t compile_ns,
+               const PaddedString& input, OutputWriter& out)
+{
     obs::PhaseStopwatch split_watch;
-    std::vector<stream::RecordSpan> records =
-        stream::split_records(input, kernels);
+    std::vector<stream::RecordSpan> records = stream::split_records(
+        input, simd::kernels_for(options.engine_options.simd));
     const std::uint64_t split_ns = split_watch.elapsed_ns();
 
-    /** Prints each match as it is replayed. Record offsets are
-     *  intra-record; extraction and span extension run over the record's
-     *  SUBVIEW, so a scan can never cross into the following record's
-     *  slice (the record-boundary contract, span.h). */
-    struct PrintingSink final : stream::StreamSink {
-        const CliOptions& options;
-        const PaddedString& input;
-        const std::vector<stream::RecordSpan>& records;
-        const simd::Kernels& kernels;
-        obs::Counters projection_counters;
-        std::size_t projected_values = 0;
-        std::size_t projected_bytes = 0;
-        std::size_t shown = 0;
-        std::size_t suppressed = 0;
-        std::string scratch;
-
-        PrintingSink(const CliOptions& options, const PaddedString& input,
-                     const std::vector<stream::RecordSpan>& records,
-                     const simd::Kernels& kernels)
-            : options(options), input(input), records(records), kernels(kernels)
-        {
-        }
-
-        PaddedView record_view(std::size_t record) const
-        {
-            const stream::RecordSpan& span = records[record];
-            return PaddedView(input).subview(span.begin, span.end - span.begin);
-        }
-
-        void on_match(std::size_t record, std::size_t offset) override
-        {
-            if (options.count_only) {
-                return;
-            }
-            if (options.project != project::ProjectionMode::kNone) {
-                project::SpanExtender extender(record_view(record), kernels,
-                                               &projection_counters);
-                const project::ValueSpan span = extender.extend(offset);
-                ++projected_values;
-                projected_bytes += span.size();
-                if (options.project == project::ProjectionMode::kCount) {
-                    return;
-                }
-                if (options.limit != 0 && shown >= options.limit) {
-                    ++suppressed;
-                    return;
-                }
-                ++shown;
-                const std::string_view slice = extender.slice(span);
-                if (options.project == project::ProjectionMode::kNdjson) {
-                    scratch.clear();
-                    project::append_compact_value(slice, scratch);
-                    scratch.push_back('\n');
-                    std::fwrite(scratch.data(), 1, scratch.size(), stdout);
-                } else {
-                    std::printf("record %zu: %.*s\n", record,
-                                static_cast<int>(slice.size()), slice.data());
-                }
-                return;
-            }
-            if (options.limit != 0 && shown >= options.limit) {
-                ++suppressed;
-                return;
-            }
-            ++shown;
-            if (options.offsets_only) {
-                std::printf("record %zu: %zu\n", record, offset);
-            } else {
-                std::string_view value = extract_value(record_view(record), offset);
-                std::printf("record %zu: %.*s\n", record,
-                            static_cast<int>(value.size()), value.data());
-            }
-        }
-
-        void on_record_error(std::size_t record,
-                             const EngineStatus& status) override
-        {
-            // Absolute stream position: span begin + intra-record offset,
-            // so the byte can be seeked to directly in the input file.
-            std::fprintf(stderr, "descend-cli: record %zu at byte %zu: %s\n",
-                         record, records[record].begin + status.offset,
-                         to_string(status).c_str());
-        }
-    };
-
-    PrintingSink sink(options, input, records, kernels);
+    MatchPrinter printer(options, out);
+    RecordPrinter sink(printer, options, input, records);
     stream::StreamResult result = executor.run_records(input, records, sink);
-    if (sink.suppressed != 0) {
-        std::printf("... (%zu more)\n", sink.suppressed);
-    }
-    if (options.count_only) {
-        std::printf("%zu\n", result.matches);
-    }
-    if (options.project == project::ProjectionMode::kCount) {
-        std::printf("values=%zu bytes=%zu\n", sink.projected_values,
-                    sink.projected_bytes);
-    }
-    result.counters.merge(sink.projection_counters);
+    printer.set_label("");
+    printer.finish();
+    result.counters.merge(printer.counters());
     if (options.stats) {
         obs::StreamReport report;
-        report.engine = "descend";
+        report.engine = std::move(engine_name);
         report.document_bytes = input.size();
         report.records = result.records;
         report.matches = result.matches;
@@ -697,133 +730,23 @@ int run_ndjson(const CliOptions& options, const PaddedString& input)
     return result.ok() ? 0 : exit_code_for(result.first_error);
 }
 
-/** NDJSON × fused query set: N queries × M records off one splitter pass. */
-int run_multi_ndjson(const CliOptions& options, const PaddedString& input)
+int run_ndjson(const CliOptions& options, const PaddedString& input,
+               OutputWriter& out)
 {
-    stream::StreamOptions stream_options = make_stream_options(options);
+    const stream::StreamOptions stream_options = make_stream_options(options);
     obs::PhaseStopwatch compile_watch;
-    multi::MultiStreamExecutor executor =
-        multi::MultiStreamExecutor::for_queries(options.queries, stream_options);
-    const std::uint64_t compile_ns = compile_watch.elapsed_ns();
-
-    const simd::Kernels& kernels =
-        simd::kernels_for(options.engine_options.simd);
-    obs::PhaseStopwatch split_watch;
-    std::vector<stream::RecordSpan> records =
-        stream::split_records(input, kernels);
-    const std::uint64_t split_ns = split_watch.elapsed_ns();
-
-    struct PrintingSink final : multi::MultiStreamSink {
-        const CliOptions& options;
-        const PaddedString& input;
-        const std::vector<stream::RecordSpan>& records;
-        const simd::Kernels& kernels;
-        obs::Counters projection_counters;
-        std::size_t projected_values = 0;
-        std::size_t projected_bytes = 0;
-        std::size_t shown = 0;
-        std::size_t suppressed = 0;
-        std::string scratch;
-
-        PrintingSink(const CliOptions& options, const PaddedString& input,
-                     const std::vector<stream::RecordSpan>& records,
-                     const simd::Kernels& kernels)
-            : options(options), input(input), records(records), kernels(kernels)
-        {
-        }
-
-        PaddedView record_view(std::size_t record) const
-        {
-            const stream::RecordSpan& span = records[record];
-            return PaddedView(input).subview(span.begin, span.end - span.begin);
-        }
-
-        void on_match(std::size_t query, std::size_t record,
-                      std::size_t offset) override
-        {
-            if (options.count_only) {
-                return;
-            }
-            if (options.project != project::ProjectionMode::kNone) {
-                project::SpanExtender extender(record_view(record), kernels,
-                                               &projection_counters);
-                const project::ValueSpan span = extender.extend(offset);
-                ++projected_values;
-                projected_bytes += span.size();
-                if (options.project == project::ProjectionMode::kCount) {
-                    return;
-                }
-                if (options.limit != 0 && shown >= options.limit) {
-                    ++suppressed;
-                    return;
-                }
-                ++shown;
-                const std::string_view slice = extender.slice(span);
-                if (options.project == project::ProjectionMode::kNdjson) {
-                    scratch.clear();
-                    project::append_compact_value(slice, scratch);
-                    scratch.push_back('\n');
-                    std::fwrite(scratch.data(), 1, scratch.size(), stdout);
-                } else {
-                    std::printf("query %zu record %zu: %.*s\n", query, record,
-                                static_cast<int>(slice.size()), slice.data());
-                }
-                return;
-            }
-            if (options.limit != 0 && shown >= options.limit) {
-                ++suppressed;
-                return;
-            }
-            ++shown;
-            if (options.offsets_only) {
-                std::printf("query %zu record %zu: %zu\n", query, record,
-                            offset);
-            } else {
-                std::string_view value =
-                    extract_value(record_view(record), offset);
-                std::printf("query %zu record %zu: %.*s\n", query, record,
-                            static_cast<int>(value.size()), value.data());
-            }
-        }
-
-        void on_record_error(std::size_t record,
-                             const EngineStatus& status) override
-        {
-            std::fprintf(stderr, "descend-cli: record %zu at byte %zu: %s\n",
-                         record, records[record].begin + status.offset,
-                         to_string(status).c_str());
-        }
-    };
-
-    PrintingSink sink(options, input, records, kernels);
-    stream::StreamResult result = executor.run_records(input, records, sink);
-    if (sink.suppressed != 0) {
-        std::printf("... (%zu more)\n", sink.suppressed);
+    if (options.queries.size() > 1) {
+        const multi::MultiStreamExecutor executor =
+            multi::MultiStreamExecutor::for_queries(options.queries,
+                                                    stream_options);
+        return run_stream(options, executor, executor.engine().name(),
+                          compile_watch.elapsed_ns(), input, out);
     }
-    if (options.count_only) {
-        std::printf("%zu\n", result.matches);
-    }
-    if (options.project == project::ProjectionMode::kCount) {
-        std::printf("values=%zu bytes=%zu\n", sink.projected_values,
-                    sink.projected_bytes);
-    }
-    result.counters.merge(sink.projection_counters);
-    if (options.stats) {
-        obs::StreamReport report;
-        report.engine = executor.engine().name();
-        report.document_bytes = input.size();
-        report.records = result.records;
-        report.matches = result.matches;
-        report.failed_records = result.failed_records;
-        report.record_blocks = result.record_blocks;
-        report.counters = result.counters;
-        report.timings = result.timings;
-        report.timings.add(obs::Phase::kCompile, compile_ns);
-        report.timings.add(obs::Phase::kSplit, split_ns);
-        report.error_tally = result.error_tally;
-        std::fprintf(stderr, "%s\n", obs::to_json(report).c_str());
-    }
-    return result.ok() ? 0 : exit_code_for(result.first_error);
+    const stream::StreamExecutor executor(
+        automaton::CompiledQuery::compile(options.queries.front()),
+        stream_options);
+    return run_stream(options, executor, "descend",
+                      compile_watch.elapsed_ns(), input, out);
 }
 
 }  // namespace
@@ -875,14 +798,19 @@ int main(int argc, char** argv)
                 options.engine_options);
         }
         const std::uint64_t compile_ns = compile_watch.elapsed_ns();
-        auto dispatch = [&](const std::string& name, const PaddedString& doc) {
+        OutputWriter out;
+        auto run = [&](const std::string& name, const PaddedString& doc) {
             if (options.ndjson) {
-                return multi ? run_multi_ndjson(options, doc)
-                             : run_ndjson(options, doc);
+                return run_ndjson(options, doc, out);
             }
             return multi ? run_multi(options, *multi_engine, name, doc,
-                                     compile_ns)
-                         : run_on(options, *engine, name, doc, compile_ns);
+                                     compile_ns, out)
+                         : run_on(options, *engine, name, doc, compile_ns, out);
+        };
+        auto dispatch = [&](const std::string& name, const PaddedString& doc) {
+            const int status = run(name, doc);
+            out.flush();
+            return status;
         };
         if (options.files.empty()) {
             return dispatch("<stdin>", read_stdin());
